@@ -3,12 +3,13 @@ autoregressive decoding at matched model sizes, bucketed by output length."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import RTFReport, rtf_measure
+from .metrics import RTFReport
 from .model import ArBaselineModel, SaAsrModel, load_checkpoint
 from .speaker import SpeakerInventory, SpeakerProfile
 from .tensor import Tensor
@@ -22,9 +23,14 @@ class BenchRow:
     length: int
     rtf_nar: float
     rtf_ar: float
+    repeat_ratios: list = field(default_factory=list)  # AR/NAR per repeat
 
     @property
     def ratio(self) -> float:
+        """Median of the per-repeat AR/NAR time ratios; the ratio of the
+        two RTFs when no repeats were recorded."""
+        if self.repeat_ratios:
+            return float(np.median(self.repeat_ratios))
         return self.rtf_ar / self.rtf_nar
 
 
@@ -64,15 +70,26 @@ def _rig_output_length(model: SaAsrModel, target_len: int, frames: int):
     model.predictor.proj.b.data[:] = np.log(p / (1.0 - p))
 
 
+def _seconds(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
 def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0,
               frames_per_output: int = FRAMES_PER_OUTPUT,
               frame_shift_ms: float = FRAME_SHIFT_MS,
               repeats: int = 5) -> BenchResult:
     """For each requested output length, synthesize inputs driving that
     length, then time parallel decodes against greedy decodes forced to
-    emit the same number of tokens. Each bucket sums ``repeats`` decodes so
-    short buckets are not at the mercy of scheduler jitter. Runs serially;
-    warm-ups excluded."""
+    emit the same number of tokens. After one untimed warm-up decode of
+    each, the two alternate repeat by repeat, so both see the same phase of
+    a host whose speed drifts; a length's ratio is the median of its
+    ``repeats`` per-repeat ratios. Runs serially."""
+    lengths = [int(length) for length in lengths]
+    if not lengths or min(lengths) < 1:
+        raise ConfigError(
+            f"bench needs at least one output length, all >= 1: {lengths}")
     nar_model, _ = load_checkpoint(nar_ckpt)
     ar_model, _ = load_checkpoint(ar_ckpt)
     if not isinstance(nar_model, SaAsrModel) or \
@@ -88,30 +105,37 @@ def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0,
         true_count=2)
 
     rows = []
-    nar_total_sec, ar_total_sec, audio_total = 0.0, 0.0, 0.0
     nar_breakdown, ar_breakdown = [], []
     for length in lengths:
-        frames = frames_per_output * int(length)
+        frames = frames_per_output * length
         x = Tensor(rng.uniform(-1, 1, (frames, nar_model.cfg.feature_dim)))
-        _rig_output_length(nar_model, int(length), frames)
-        utts = [(frames, x)] * repeats
+        _rig_output_length(nar_model, length, frames)
 
-        nar_rep = rtf_measure(lambda feat: nar_model.nar_infer(feat, inv),
-                              utts, frame_shift_ms)
-        ar_rep = rtf_measure(
-            lambda feat: ar_model.greedy_infer(feat, inv, max_len=int(length),
-                                               forbid_eos=True),
-            utts, frame_shift_ms)
-        rows.append(BenchRow(length=int(length), rtf_nar=nar_rep.rtf,
-                             rtf_ar=ar_rep.rtf))
-        nar_total_sec += nar_rep.total_inference_seconds
-        ar_total_sec += ar_rep.total_inference_seconds
-        audio_total += nar_rep.total_audio_seconds
-        nar_breakdown.extend(nar_rep.per_length_breakdown)
-        ar_breakdown.extend(ar_rep.per_length_breakdown)
+        def nar():
+            nar_model.nar_infer(x, inv)
 
-    nar_report = RTFReport(nar_total_sec, audio_total,
-                           nar_total_sec / audio_total, nar_breakdown)
-    ar_report = RTFReport(ar_total_sec, audio_total,
-                          ar_total_sec / audio_total, ar_breakdown)
-    return BenchResult(nar=nar_report, ar=ar_report, rows=rows)
+        def ar():
+            ar_model.greedy_infer(x, inv, max_len=length, forbid_eos=True)
+
+        nar()
+        ar()
+        nar_sec, ar_sec = [], []
+        for _ in range(repeats):
+            nar_sec.append(_seconds(nar))
+            ar_sec.append(_seconds(ar))
+        audio = repeats * frames * frame_shift_ms / 1000.0
+        rows.append(BenchRow(length=length, rtf_nar=sum(nar_sec) / audio,
+                             rtf_ar=sum(ar_sec) / audio,
+                             repeat_ratios=[a / n for a, n in
+                                            zip(ar_sec, nar_sec)]))
+        nar_breakdown.extend((frames, dt) for dt in nar_sec)
+        ar_breakdown.extend((frames, dt) for dt in ar_sec)
+
+    return BenchResult(nar=_report(nar_breakdown, frame_shift_ms),
+                       ar=_report(ar_breakdown, frame_shift_ms), rows=rows)
+
+
+def _report(breakdown, frame_shift_ms: float) -> RTFReport:
+    seconds = sum(dt for _, dt in breakdown)
+    audio = sum(frames for frames, _ in breakdown) * frame_shift_ms / 1000.0
+    return RTFReport(seconds, audio, seconds / audio, breakdown)

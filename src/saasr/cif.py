@@ -50,8 +50,6 @@ class WeightPredictor(Module):
             raise ShapeError(f"predictor expects T x d frames, got {h.data.shape}")
         return WeightSequence(reshape(sigmoid(self.proj(h)), (h.data.shape[0],)))
 
-    predict_weights = __call__
-
 
 def _cif_forward(alpha: np.ndarray, beta: float):
     """Sequential accumulation. Returns the dense per-token frame-weight

@@ -176,9 +176,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    lengths = [int(v) for v in args.lengths.split(",") if v]
-    if not lengths:
-        raise ConfigError("--lengths must name at least one output length")
+    try:
+        lengths = [int(v) for v in args.lengths.split(",") if v]
+    except ValueError:
+        raise ConfigError(
+            f"--lengths must be integers: {args.lengths!r}") from None
     result = bench_rtf(args.nar, args.ar, lengths, seed=args.seed)
     print(result.table())
     if args.out:
@@ -205,7 +207,8 @@ def main(argv=None) -> int:
                 "grad-check": _cmd_grad_check}
     try:
         return handlers[args.command](args)
-    except (ConfigError, ContractError, ShapeError) as exc:
+    except (ConfigError, ContractError, ShapeError, OSError) as exc:
+        # OSError: a missing or unreadable input file or directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

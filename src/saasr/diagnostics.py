@@ -9,11 +9,12 @@ from .cif import WeightPredictor, WeightSequence, integrate_and_fire, mae_loss
 from .data import SynthSpec, generate_dataset
 from .losses import LossWeights
 from .nn import (AttentionConfig, EncoderLayer, FeedForward, LayerNorm,
-                 MultiHeadAttention, Parameter)
+                 MultiHeadAttention, Parameter, attention_core, causal_mask)
 from .model import ModelConfig, SaAsrModel
 from .speaker import (SpeakerDecoder, SpeakerInventory, SpeakerProfile,
                       attention_weights, cosine_scores)
-from .tensor import (Tensor, grad_check, log_softmax, matmul, softmax, tsum)
+from .tensor import (Tensor, grad_check, linear, log_softmax, matmul, softmax,
+                     tsum)
 from .training import TrainConfig, prepare_batch_items, session_losses
 
 
@@ -25,6 +26,12 @@ def _block_checks(rng):
     w = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
     checks.append(("matmul", lambda: tsum(matmul(x, w) * matmul(x, w)),
                    [Parameter("x", x), Parameter("w", w)]))
+
+    xl = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+    wl = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
+    bl = Tensor(rng.uniform(-1, 1, 2), requires_grad=True)
+    checks.append(("linear", lambda: tsum(linear(xl, wl, bl) * linear(xl, wl, bl)),
+                   [Parameter("x", xl), Parameter("w", wl), Parameter("b", bl)]))
 
     s = Tensor(rng.uniform(-1, 1, (3, 5)), requires_grad=True)
     s_probe = Tensor(rng.uniform(-1, 1, (3, 5)))
@@ -49,6 +56,14 @@ def _block_checks(rng):
     checks.append(("multi_head_attention",
                    lambda: tsum(mha(q, kv, kv) * mha(q, kv, kv)),
                    mha.named_parameters("mha") + [Parameter("q", q)]))
+
+    qa, ka, va = (Tensor(rng.uniform(-1, 1, (3, 8)), requires_grad=True)
+                  for _ in range(3))
+    core_probe = Tensor(rng.uniform(-1, 1, (3, 8)))
+    checks.append(("attention_core_masked",
+                   lambda: tsum(attention_core(qa, ka, va, 2, causal_mask(3))
+                                * core_probe),
+                   [Parameter("q", qa), Parameter("k", ka), Parameter("v", va)]))
 
     ff = FeedForward(cfg, rng)
     xff = Tensor(rng.uniform(-1, 1, (3, 8)), requires_grad=True)

@@ -406,33 +406,52 @@ def save_checkpoint(path, model, extra: dict | None = None):
             fh.write(p.tensor.data.astype("<f8").tobytes())
 
 
+def _read(fh, count: int, what: str) -> bytes:
+    data = fh.read(count)
+    if len(data) != count:
+        raise ContractError(
+            f"truncated checkpoint: {what} needs {count} bytes, "
+            f"{len(data)} left")
+    return data
+
+
+def _read_u32s(fh, count: int, what: str) -> tuple:
+    return struct.unpack(f"<{count}I", _read(fh, 4 * count, what))
+
+
 def load_checkpoint(path):
-    """Returns (model, header). The model class follows the header kind."""
+    """Returns (model, header). The model class follows the header kind.
+    A truncated or malformed file raises ContractError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ContractError(f"not a checkpoint file: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        cfg = ModelConfig.from_dict(header["config"])
-        model = (ArBaselineModel(cfg) if header["kind"] == "ar"
-                 else SaAsrModel(cfg))
+        (hlen,) = _read_u32s(fh, 1, "header length")
+        try:
+            header = json.loads(_read(fh, hlen, "header").decode("utf-8"))
+            cfg = ModelConfig.from_dict(header["config"])
+            kind = header["kind"]
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
+                TypeError) as exc:
+            raise ContractError(f"malformed checkpoint header: {exc}") from None
+        model = ArBaselineModel(cfg) if kind == "ar" else SaAsrModel(cfg)
         by_name = {p.name: p.tensor for p in model.parameters()}
-        (n_params,) = struct.unpack("<I", fh.read(4))
+        (n_params,) = _read_u32s(fh, 1, "parameter count")
         seen = set()
         for _ in range(n_params):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            count = int(np.prod(shape)) if shape else 1
-            payload = np.frombuffer(fh.read(8 * count), dtype="<f8")
+            (nlen,) = _read_u32s(fh, 1, "parameter name length")
+            name = _read(fh, nlen, "parameter name").decode("utf-8", "replace")
+            (ndim,) = _read_u32s(fh, 1, f"rank of {name!r}")
+            shape = _read_u32s(fh, ndim, f"shape of {name!r}")
             if name not in by_name:
                 raise ContractError(f"unknown parameter {name!r} in checkpoint")
-            if by_name[name].data.shape != tuple(shape):
+            if by_name[name].data.shape != shape:
                 raise ContractError(
-                    f"parameter {name!r} shape {tuple(shape)} does not match "
+                    f"parameter {name!r} shape {shape} does not match "
                     f"model {by_name[name].data.shape}")
+            count = int(np.prod(shape))
+            payload = np.frombuffer(_read(fh, 8 * count, f"values of {name!r}"),
+                                    dtype="<f8")
             by_name[name].data = payload.reshape(shape).astype(np.float64)
             seen.add(name)
         missing = set(by_name) - seen

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import (Tensor, gelu, getitem, matmul, reshape, softmax,
-                     sqrt, tmean, transpose)
+from .tensor import (Tensor, gelu, getitem, graph_node, linear,
+                     shifted_logits)
 
 
 @dataclass
@@ -29,10 +29,6 @@ class AttentionConfig:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by "
                 f"num_heads {self.num_heads}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.num_heads
 
 
 class Module:
@@ -72,14 +68,12 @@ def init_weight(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
 
 
 class Linear(Module):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.w = init_weight(rng, in_dim, (in_dim, out_dim))
-        self.b = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.w)
-        return out + self.b if self.b is not None else out
+        return linear(x, self.w, self.b)
 
 
 class Embedding(Module):
@@ -97,10 +91,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
         raise ShapeError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match last dim of {x.data.shape}")
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = tmean(centered * centered, axis=-1, keepdims=True)
-    return centered / sqrt(var + eps) * gain + bias
+    x_data = x.data
+    centered = x_data - x_data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    x_hat = centered / std
+    out = x_hat * gain.data + bias.data
+    lead = tuple(range(x_data.ndim - 1))
+
+    def vjp(g):
+        g_hat = g * gain.data
+        g_x = (g_hat - g_hat.mean(axis=-1, keepdims=True)
+               - x_hat * (g_hat * x_hat).mean(axis=-1, keepdims=True)) / std
+        return (g_x, (g * x_hat).sum(axis=lead), g.sum(axis=lead))
+
+    return graph_node(out, (x, gain, bias), vjp)
 
 
 class LayerNorm(Module):
@@ -126,30 +130,60 @@ class MultiHeadAttention(Module):
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor,
                  mask: np.ndarray | None = None) -> Tensor:
-        d, h = self.cfg.model_dim, self.cfg.num_heads
+        d = self.cfg.model_dim
         if q.data.shape[-1] != d or k.data.shape[-1] != d or v.data.shape[-1] != d:
             raise ShapeError(
                 f"attention inputs must have model_dim {d}: "
                 f"q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
-        if k.data.shape[0] != v.data.shape[0]:
-            raise ShapeError(
-                f"key/value lengths differ: {k.data.shape} vs {v.data.shape}")
-        lq, lk = q.data.shape[0], k.data.shape[0]
-        hd = self.cfg.head_dim
+        q, k, v = self.wq(q), self.wk(k), self.wv(v)
+        return self.wo(attention_core(q, k, v, self.cfg.num_heads, mask))
 
-        def split(x, length):
-            return transpose(reshape(x, (length, h, hd)), (1, 0, 2))
 
-        qh = split(self.wq(q), lq)            # h x lq x hd
-        kh = split(self.wk(k), lk)
-        vh = split(self.wv(v), lk)
-        scores = matmul(qh, transpose(kh, (0, 2, 1))) * (1.0 / np.sqrt(hd))
-        if mask is not None:
-            scores = scores + Tensor(mask)    # broadcast over heads
-        att = softmax(scores, axis=-1)
-        ctx = matmul(att, vh)                 # h x lq x hd
-        merged = reshape(transpose(ctx, (1, 0, 2)), (lq, d))
-        return self.wo(merged)
+def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                   mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention over projected inputs, as one
+    node: split ``q`` (lq x d), ``k`` and ``v`` (lk x d) into ``heads`` heads,
+    softmax(q k^T / sqrt(d / heads) + mask) v per head, then merge the heads
+    back to lq x d. ``mask`` (lq x lk) is additive and shared by all heads.
+    Zero queries give a 0 x d result; zero keys give zeros."""
+    if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.shape != k.data.shape
+            or k.data.shape[1] != q.data.shape[1] or q.data.shape[1] % heads):
+        raise ShapeError(
+            f"attention_core needs q (lq x d), k and v (lk x d) with d "
+            f"divisible by {heads} heads: q {q.data.shape}, "
+            f"k {k.data.shape}, v {v.data.shape}")
+    (lq, d), lk = q.data.shape, k.data.shape[0]
+    hd = d // heads
+    scale = 1.0 / np.sqrt(hd)
+
+    def split(x, length):                 # length x d -> heads x length x hd
+        return x.reshape(length, heads, hd).transpose(1, 0, 2)
+
+    # the heads x lq x lk arrays are updated in place: at long inputs they
+    # dominate memory traffic, and each fresh one costs page faults
+    qh, kh, vh = split(q.data, lq), split(k.data, lk), split(v.data, lk)
+    scores = qh @ kh.transpose(0, 2, 1)
+    scores *= scale
+    if mask is not None:
+        scores += mask
+    att = np.exp(shifted_logits(scores, -1, "attention softmax", out=scores),
+                 out=scores)
+    att /= att.sum(axis=-1, keepdims=True)
+    out = (att @ vh).transpose(1, 0, 2).reshape(lq, d)
+
+    def vjp(g):
+        g_ctx = split(g, lq)
+        g_scores = g_ctx @ vh.transpose(0, 2, 1)
+        g_scores -= (g_scores * att).sum(axis=-1, keepdims=True)
+        g_scores *= att
+        g_scores *= scale
+        g_q = g_scores @ kh
+        g_k = g_scores.transpose(0, 2, 1) @ qh
+        g_v = att.transpose(0, 2, 1) @ g_ctx
+        return tuple(gh.transpose(1, 0, 2).reshape(x.shape)
+                     for gh, x in ((g_q, q.data), (g_k, k.data), (g_v, v.data)))
+
+    return graph_node(out, (q, k, v), vjp)
 
 
 class FeedForward(Module):

@@ -292,6 +292,10 @@ def evaluate(model_or_path, dataset: Dataset,
         model, _ = load_checkpoint(model_or_path)
     else:
         model = model_or_path
+    if not isinstance(model, SaAsrModel):
+        raise ConfigError(
+            f"evaluate needs a parallel (SaAsrModel) checkpoint, got "
+            f"{type(model).__name__}")
     cfg = model.cfg
     if cfg.vocab_size != dataset.spec.vocab_size:
         raise ConfigError(

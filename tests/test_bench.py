@@ -1,5 +1,6 @@
 """Latency benchmark wiring: matched configs, rigged lengths, ratio table."""
 
+import numpy as np
 import pytest
 
 from saasr.bench import BenchRow, bench_rtf
@@ -67,3 +68,17 @@ def test_bench_requires_correct_checkpoint_kinds(tmp_path, checkpoints):
 def test_bench_row_ratio():
     row = BenchRow(length=8, rtf_nar=0.02, rtf_ar=0.08)
     assert abs(row.ratio - 4.0) < 1e-12
+
+
+def test_bench_ratio_is_median_of_per_repeat_ratios(checkpoints):
+    nar, ar = checkpoints
+    row = bench_rtf(nar, ar, [3], seed=0, repeats=3).rows[0]
+    assert len(row.repeat_ratios) == 3
+    assert row.ratio == float(np.median(row.repeat_ratios))
+
+
+@pytest.mark.parametrize("lengths", [[], [0], [4, -2]])
+def test_bench_rejects_non_positive_lengths(checkpoints, lengths):
+    nar, ar = checkpoints
+    with pytest.raises(ConfigError, match="length"):
+        bench_rtf(nar, ar, lengths)

@@ -147,3 +147,63 @@ def test_config_errors_exit_one(workspace, capsys):
                  "--config", str(workspace / "bad.cfg")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _small_model_config():
+    from saasr.model import ModelConfig
+    from saasr.nn import AttentionConfig
+    return ModelConfig(vocab_size=12, feature_dim=8,
+                       attn=AttentionConfig(8, 2, 16), encoder_layers=2,
+                       decoder_layers=2, speaker_encoder_layers=1, d_spk=8,
+                       inter_ctc_layer=1)
+
+
+@pytest.mark.parametrize("keep", ["half", 8])
+def test_eval_truncated_checkpoint_exits_one(workspace, capsys, keep):
+    from saasr.model import SaAsrModel, save_checkpoint
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    ckpt = workspace / "model.ckpt"
+    save_checkpoint(ckpt, SaAsrModel(_small_model_config()))
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[:len(blob) // 2 if keep == "half" else keep])
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(data_dir)]) == 1
+    assert "error: truncated checkpoint" in capsys.readouterr().err
+
+
+def test_eval_autoregressive_checkpoint_exits_one(workspace, capsys):
+    from saasr.model import ArBaselineModel, save_checkpoint
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    ckpt = workspace / "ar.ckpt"
+    save_checkpoint(ckpt, ArBaselineModel(_small_model_config()))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(data_dir)]) == 1
+    assert "ArBaselineModel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "{missing}", "--out", "{out}"],
+    ["eval", "--checkpoint", "{missing}.ckpt", "--data", "{missing}"],
+    ["gen-data", "--config", "{missing}.cfg", "--out", "{out}"],
+], ids=["train-data", "eval-data", "gen-data-config"])
+def test_missing_input_exits_one(workspace, capsys, argv):
+    paths = {"missing": str(workspace / "absent"), "out": str(workspace / "o")}
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lengths", ["0", "4,-2", "4,x"])
+def test_bench_bad_lengths_exit_one(workspace, capsys, lengths):
+    from saasr.model import ArBaselineModel, SaAsrModel, save_checkpoint
+    nar, ar = workspace / "nar.ckpt", workspace / "ar.ckpt"
+    save_checkpoint(nar, SaAsrModel(_small_model_config()))
+    save_checkpoint(ar, ArBaselineModel(_small_model_config()))
+    assert main(["bench", "--nar", str(nar), "--ar", str(ar),
+                 "--lengths", lengths]) == 1
+    assert "error:" in capsys.readouterr().err
