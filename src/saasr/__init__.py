@@ -14,10 +14,9 @@ from .data import (Dataset, Session, SynthSpec, generate_dataset,
                    generate_session, read_dataset, write_dataset)
 from .errors import ConfigError, ContractError, ShapeError
 from .losses import (LossBreakdown, LossWeights, ce_loss, composite_loss,
-                     ctc_is_infeasible, ctc_loss, inter_ctc_loss,
-                     speaker_loss)
+                     ctc_is_infeasible, ctc_loss, speaker_loss)
 from .metrics import (EditCounts, RTFReport, SDCERReport, edit_align,
-                      rtf_measure, sd_cer)
+                      rtf_report, sd_cer)
 from .model import (ArBaselineModel, ForwardTrace, Hypothesis, ModelConfig,
                     SaAsrModel, glancing_sample, load_checkpoint,
                     save_checkpoint)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import RTFReport
+from .metrics import RTFReport, rtf_report
 from .model import ArBaselineModel, SaAsrModel, load_checkpoint
 from .speaker import SpeakerInventory, SpeakerProfile
 from .tensor import Tensor
@@ -131,11 +131,5 @@ def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0,
         nar_breakdown.extend((frames, dt) for dt in nar_sec)
         ar_breakdown.extend((frames, dt) for dt in ar_sec)
 
-    return BenchResult(nar=_report(nar_breakdown, frame_shift_ms),
-                       ar=_report(ar_breakdown, frame_shift_ms), rows=rows)
-
-
-def _report(breakdown, frame_shift_ms: float) -> RTFReport:
-    seconds = sum(dt for _, dt in breakdown)
-    audio = sum(frames for frames, _ in breakdown) * frame_shift_ms / 1000.0
-    return RTFReport(seconds, audio, seconds / audio, breakdown)
+    return BenchResult(nar=rtf_report(nar_breakdown, frame_shift_ms),
+                       ar=rtf_report(ar_breakdown, frame_shift_ms), rows=rows)

@@ -251,15 +251,20 @@ def spec_from_pairs(pairs: dict) -> SynthSpec:
     kwargs = {}
     for key, value in pairs.items():
         if key in ("num_sessions", "vocab_size", "feature_dim", "seed"):
-            kwargs[key] = int(value)
+            parse = int
         elif key in ("speakers_per_session", "tokens_per_utterance",
                      "frames_per_token"):
-            kwargs[key] = parse_range(value)
+            parse = parse_range
         elif key in ("overlap_ratio_target", "noise_std",
                      "bigram_concentration"):
-            kwargs[key] = float(value)
+            parse = float
         else:
             raise ConfigError(f"unknown dataset key {key!r}")
+        try:
+            kwargs[key] = parse(value)
+        except ValueError:
+            raise ConfigError(
+                f"dataset key {key!r}: cannot read {value!r}") from None
     return SynthSpec(**kwargs)
 
 
@@ -287,9 +292,56 @@ def write_dataset(directory, dataset: Dataset):
             "\n".join(inv_lines) + "\n")
 
 
+def read_exact(fh, count: int, what: str) -> bytes:
+    """Exactly ``count`` bytes of ``what`` from a binary file; a file that
+    ends first raises ContractError."""
+    data = fh.read(count)
+    if len(data) != count:
+        raise ContractError(
+            f"truncated {what}: needs {count} bytes, {len(data)} left")
+    return data
+
+
+def read_u32s(fh, count: int, what: str) -> tuple:
+    return struct.unpack(f"<{count}I", read_exact(fh, 4 * count, what))
+
+
+def _parse_text(path: Path, parse):
+    """``parse`` applied to a text file's lines; a file it cannot read
+    raises ContractError naming the file."""
+    try:
+        return parse(path.read_text().splitlines())
+    except (ValueError, IndexError) as exc:
+        raise ContractError(f"{path.name}: malformed ({exc})") from None
+
+
+def _parse_tokens(lines) -> list:
+    """One ``token speaker start end`` line per token."""
+    tokens = []
+    for line in lines:
+        tok, speaker, start, end = line.split()
+        tokens.append(TimedToken(int(tok), speaker, int(start), int(end)))
+    return tokens
+
+
+def _parse_inventory(lines) -> SpeakerInventory:
+    """``true_count K``, then one ``id v1 .. vF`` line per profile."""
+    key, true_count = lines[0].split()
+    if key != "true_count":
+        raise ValueError(f"first line {lines[0]!r} is not 'true_count K'")
+    profiles = []
+    for line in lines[1:]:
+        speaker, *values = line.split()
+        profiles.append(SpeakerProfile(speaker,
+                                       np.array([float(v) for v in values])))
+    return SpeakerInventory(profiles, int(true_count))
+
+
 def read_dataset(directory) -> Dataset:
     directory = Path(directory)
     pairs = parse_flat_config((directory / "manifest.txt").read_text())
+    if "sessions" not in pairs:
+        raise ContractError(f"{directory / 'manifest.txt'} has no sessions line")
     session_ids = [s for s in pairs.pop("sessions").split(",") if s]
     spec = spec_from_pairs(pairs)
     sessions = []
@@ -297,22 +349,14 @@ def read_dataset(directory) -> Dataset:
         with open(directory / f"{sid}.feat", "rb") as fh:
             if fh.read(len(FEATURE_MAGIC)) != FEATURE_MAGIC:
                 raise ContractError(f"{sid}.feat: bad feature magic")
-            t_len, dim = struct.unpack("<II", fh.read(8))
-            features = np.frombuffer(fh.read(8 * t_len * dim),
-                                     dtype="<f8").reshape(t_len, dim).copy()
-        tokens = []
-        for line in (directory / f"{sid}.tokens").read_text().splitlines():
-            tok, speaker, start, end = line.split()
-            tokens.append(TimedToken(int(tok), speaker, int(start), int(end)))
-        inv_lines = (directory / f"{sid}.inv").read_text().splitlines()
-        true_count = int(inv_lines[0].split()[1])
-        profiles = []
-        for line in inv_lines[1:]:
-            parts = line.split()
-            profiles.append(SpeakerProfile(parts[0],
-                                           np.array([float(v) for v in parts[1:]])))
+            t_len, dim = read_u32s(fh, 2, f"{sid}.feat shape")
+            values = read_exact(fh, 8 * t_len * dim, f"{sid}.feat values")
+            features = np.frombuffer(values, dtype="<f8").reshape(
+                t_len, dim).copy()
+        tokens = _parse_text(directory / f"{sid}.tokens", _parse_tokens)
+        inventory = _parse_text(directory / f"{sid}.inv", _parse_inventory)
         sessions.append(Session(session_id=sid, features=features, tokens=tokens,
-                                inventory=SpeakerInventory(profiles, true_count)))
+                                inventory=inventory))
     return Dataset(spec=spec, sessions=sessions)
 
 

@@ -143,12 +143,6 @@ def ctc_loss(frame_logits: Tensor, target, blank: int | None = None) -> Tensor:
     return graph_node(np.float64(-log_total), (frame_logits,), vjp)
 
 
-def inter_ctc_loss(h_inter: Tensor, projection, target,
-                   blank: int | None = None) -> Tensor:
-    """CTC through a dedicated linear head on an intermediate encoder layer."""
-    return ctc_loss(projection(h_inter), target, blank=blank)
-
-
 def speaker_loss(scores: CosineScores, true_indices) -> Tensor:
     """Softmax cross-entropy over raw cosine scores, summed over tokens."""
     idx = np.asarray(true_indices, dtype=np.intp)

@@ -1,11 +1,10 @@
-"""Scoring and timing: edit-distance alignment with insertion / deletion /
-substitution decomposition, speaker-dependent CER, and real-time-factor
-measurement."""
+"""Scoring: edit-distance alignment with insertion / deletion /
+substitution decomposition, speaker-dependent CER, and the real-time-factor
+report."""
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from .errors import ContractError
@@ -112,24 +111,14 @@ class RTFReport:
     per_length_breakdown: list = field(default_factory=list)
 
 
-def rtf_measure(decode_fn, utterances, frame_shift_ms: float) -> RTFReport:
-    """Time ``decode_fn`` over (frame_count, payload) pairs against the audio
-    duration implied by the frame shift. One untimed warm-up pass runs on
-    the first utterance. Decodes run serially to keep the clock honest."""
-    utterances = list(utterances)
-    total_audio = sum(frames for frames, _ in utterances) * frame_shift_ms / 1000.0
-    if total_audio <= 0:
+def rtf_report(breakdown, frame_shift_ms: float) -> RTFReport:
+    """Total decode time over the audio duration that the frame counts of
+    ``breakdown``, a list of (frame count, decode seconds) pairs, imply at
+    the given frame shift."""
+    seconds = sum(dt for _, dt in breakdown)
+    audio = sum(frames for frames, _ in breakdown) * frame_shift_ms / 1000.0
+    if audio <= 0:
         raise ContractError("total audio duration is zero")
-    decode_fn(utterances[0][1])  # warm-up
-    breakdown = []
-    total = 0.0
-    for frames, payload in utterances:
-        t0 = time.perf_counter()
-        decode_fn(payload)
-        dt = time.perf_counter() - t0
-        breakdown.append((frames, dt))
-        total += dt
-    return RTFReport(total_inference_seconds=total,
-                     total_audio_seconds=total_audio,
-                     rtf=total / total_audio,
+    return RTFReport(total_inference_seconds=seconds,
+                     total_audio_seconds=audio, rtf=seconds / audio,
                      per_length_breakdown=breakdown)

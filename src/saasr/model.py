@@ -13,7 +13,8 @@ import numpy as np
 
 from .cif import (DEFAULT_THRESHOLD, WeightPredictor, WeightSequence,
                   integrate_and_fire, scale_weights)
-from .errors import ConfigError, ContractError
+from .data import read_exact, read_u32s
+from .errors import ConfigError, ContractError, ShapeError
 from .metrics import edit_align
 from .nn import (AttentionConfig, DecoderLayer, Embedding, EncoderLayer,
                  FeedForward, Linear, Module, MultiHeadAttention, causal_mask,
@@ -69,9 +70,21 @@ class ModelConfig:
 
 
 @dataclass
+class FrontHalf:
+    """What the decoder and the losses read from the encoders, the
+    predictor, CIF and the speaker path."""
+    h_asr: Tensor
+    h_inter: Tensor
+    weights: WeightSequence    # unscaled predictor output for the MAE term
+    e_a: Tensor
+    cosine: CosineScores
+    speaker_attention: SpeakerAttention
+    d_bar: Tensor              # weighted profiles, one row per token
+
+
+@dataclass
 class ForwardTrace:
     h_asr: Tensor
-    h_spk: Tensor
     h_inter: Tensor
     e_a: Tensor
     first_pass_logits: Tensor
@@ -80,7 +93,6 @@ class ForwardTrace:
     second_pass_logits: Tensor
     cosine: CosineScores
     speaker_attention: SpeakerAttention
-    weighted_profiles: Tensor
     weights: WeightSequence    # unscaled predictor output for the MAE term
     n_replaced: int
 
@@ -97,6 +109,21 @@ class Hypothesis:
 
     def __len__(self):
         return len(self.tokens)
+
+
+def encode_frames(x: Tensor, input_proj: Linear, layers,
+                  tap: int | None = None):
+    """Input projection, sinusoidal positions, then the encoder layers.
+    Returns the final frames and the output of layer ``tap`` (1-based), or
+    None without a tap."""
+    h = input_proj(x)
+    h = h + Tensor(positional_encoding(h.data.shape[0], h.data.shape[1]))
+    tapped = None
+    for i, layer in enumerate(layers, start=1):
+        h = layer(h)
+        if tap is not None and i == tap:
+            tapped = h
+    return h, tapped
 
 
 def glancing_sample(e_a: Tensor, y_true, y_first, token_embed: Embedding,
@@ -173,7 +200,7 @@ class SaAsrModel(Module):
             requires_grad=True)
 
         self.dec_first = FusedFirstDecoderLayer(cfg.attn, rng)
-        self.dec_layers = [DecoderLayer(cfg.attn, rng, self_attention=True)
+        self.dec_layers = [DecoderLayer(cfg.attn, rng)
                            for _ in range(cfg.decoder_layers - 1)]
         self.out_proj = Linear(d, cfg.vocab_size, rng)
         self.ctc_head = Linear(d, cfg.vocab_size + 1, rng)
@@ -181,40 +208,28 @@ class SaAsrModel(Module):
 
     # -- encoders ------------------------------------------------------
 
-    def _encode(self, x: Tensor, input_proj: Linear, layers,
-                tap: int | None = None):
-        h = input_proj(x)
-        h = h + Tensor(positional_encoding(h.data.shape[0], h.data.shape[1]))
-        tapped = None
-        for i, layer in enumerate(layers, start=1):
-            h = layer(h)
-            if tap is not None and i == tap:
-                tapped = h
-        return h, tapped
-
     def asr_encode(self, x: Tensor):
         """Returns the final hidden frames and the intermediate tap."""
-        return self._encode(x, self.asr_input, self.asr_layers,
-                            tap=self.cfg.inter_ctc_layer)
+        return encode_frames(x, self.asr_input, self.asr_layers,
+                             tap=self.cfg.inter_ctc_layer)
 
     def speaker_encode(self, x: Tensor) -> Tensor:
-        h, _ = self._encode(x, self.spk_input, self.spk_layers)
+        h, _ = encode_frames(x, self.spk_input, self.spk_layers)
         return h
 
     # -- decoder ---------------------------------------------------------
 
-    def asr_decode(self, e: Tensor, h_asr: Tensor, d_bar: Tensor | None,
-                   disable_self_attention: bool = False) -> Tensor:
+    def asr_decode(self, e: Tensor, h_asr: Tensor,
+                   d_bar: Tensor | None) -> Tensor:
         """One parallel decoder pass over all token positions (no causal
-        mask). ``disable_self_attention`` is a diagnostic mode that keeps
-        positions independent."""
+        mask)."""
         self.decoder_calls += 1
         fusion = None
         if d_bar is not None and d_bar.data.shape[0] > 0:
             fusion = matmul(d_bar, transpose(self.w_spk))
         e = self.dec_first(e, h_asr, fusion)
         for layer in self.dec_layers:
-            e = layer(e, h_asr, skip_self_attention=disable_self_attention)
+            e = layer(e, h_asr)
         return self.out_proj(e)
 
     # -- speaker path -------------------------------------------------------
@@ -224,6 +239,48 @@ class SaAsrModel(Module):
         e_spk = self.speaker_decoder(e_a, h_asr, h_spk)
         q = project_query(e_spk, self.w_spk)
         return cosine_scores(q, inv)
+
+    # -- front half ----------------------------------------------------------
+
+    def check_inputs(self, x: Tensor, inv: SpeakerInventory):
+        """Reject features and profiles the model cannot read, naming the
+        input at fault."""
+        cfg = self.cfg
+        shape = x.data.shape
+        if len(shape) != 2 or shape[1] != cfg.feature_dim:
+            raise ShapeError(
+                f"features must be frames x {cfg.feature_dim}, got {shape}")
+        if shape[0] < 1:
+            raise ContractError("features have no frames")
+        if not np.isfinite(x.data).all():
+            raise ContractError("features contain non-finite values")
+        for p in inv.profiles:
+            if p.vector.shape != (cfg.d_spk,):
+                raise ShapeError(
+                    f"speaker profile {p.id!r} has shape {p.vector.shape}, "
+                    f"model expects d_spk {cfg.d_spk}")
+
+    def front(self, x: Tensor, inv: SpeakerInventory,
+              target_len: int | None = None, fill_to: int | None = None,
+              fill_seed: int = 0) -> FrontHalf:
+        """Encode, predict weights, fire token embeddings, score them
+        against the inventory and weight its profiles. ``target_len``
+        rescales the weights to fire exactly that many tokens (teacher
+        forcing); ``fill_to`` pads the scores with speaker filling."""
+        self.check_inputs(x, inv)
+        h_asr, h_inter = self.asr_encode(x)
+        h_spk = self.speaker_encode(x)
+        weights = self.predictor(h_asr)
+        fired = weights if target_len is None else scale_weights(
+            weights, target_len)
+        e_a = integrate_and_fire(h_asr, fired, DEFAULT_THRESHOLD).embeddings
+        scores = self.speaker_scores(e_a, h_asr, h_spk, inv)
+        if fill_to is not None:
+            scores = fill_speakers(scores, fill_to, fill_seed)
+        att = attention_weights(scores)
+        return FrontHalf(h_asr=h_asr, h_inter=h_inter, weights=weights,
+                         e_a=e_a, cosine=scores, speaker_attention=att,
+                         d_bar=weighted_profile(att, inv))
 
     # -- training forward -------------------------------------------------
 
@@ -242,35 +299,24 @@ class SaAsrModel(Module):
         """
         if len(speaker_indices) != len(y_true):
             raise ContractError("one speaker index per target token required")
-        h_asr, h_inter = self.asr_encode(x)
-        h_spk = self.speaker_encode(x)
-        weights = self.predictor(h_asr)
-        scaled = scale_weights(weights, len(y_true))
-        plan = integrate_and_fire(h_asr, scaled, DEFAULT_THRESHOLD)
-        e_a = plan.embeddings
-
-        scores = self.speaker_scores(e_a, h_asr, h_spk, inv)
-        if fill_to is not None:
-            scores = fill_speakers(scores, fill_to, fill_seed)
-        att = attention_weights(scores)
-        d_bar = weighted_profile(att, inv)
-
+        f = self.front(x, inv, target_len=len(y_true), fill_to=fill_to,
+                       fill_seed=fill_seed)
         with no_grad():
-            first_logits = self.asr_decode(e_a, h_asr, d_bar)
+            first_logits = self.asr_decode(f.e_a, f.h_asr, f.d_bar)
         if first_tokens_override is not None:
             first_tokens = list(first_tokens_override)
         else:
             first_tokens = ([] if first_logits.data.shape[0] == 0
                             else list(np.argmax(first_logits.data, axis=1)))
         e_s, n_replaced = glancing_sample(
-            e_a, y_true, first_tokens, self.token_embed,
+            f.e_a, y_true, first_tokens, self.token_embed,
             self.cfg.sampling_factor_lambda, sampler_seed)
-        second_logits = self.asr_decode(e_s, h_asr, d_bar)
+        second_logits = self.asr_decode(e_s, f.h_asr, f.d_bar)
         return ForwardTrace(
-            h_asr=h_asr, h_spk=h_spk, h_inter=h_inter, e_a=e_a,
+            h_asr=f.h_asr, h_inter=f.h_inter, e_a=f.e_a,
             first_pass_logits=first_logits, first_pass_tokens=first_tokens,
-            e_s=e_s, second_pass_logits=second_logits, cosine=scores,
-            speaker_attention=att, weighted_profiles=d_bar, weights=weights,
+            e_s=e_s, second_pass_logits=second_logits, cosine=f.cosine,
+            speaker_attention=f.speaker_attention, weights=f.weights,
             n_replaced=n_replaced)
 
     # -- inference -----------------------------------------------------------
@@ -279,21 +325,12 @@ class SaAsrModel(Module):
         """Single-pass parallel inference; the accumulated predictor weight
         fixes the output length. Speaker attention is restricted to the
         genuine inventory prefix."""
+        genuine = SpeakerInventory(list(inv.profiles[:inv.true_count]),
+                                   inv.true_count)
         with no_grad():
-            h_asr, _ = self.asr_encode(x)
-            h_spk = self.speaker_encode(x)
-            weights = self.predictor(h_asr)
-            plan = integrate_and_fire(h_asr, weights, DEFAULT_THRESHOLD)
-            e_a = plan.embeddings
-
-            genuine = SpeakerInventory(list(inv.profiles[:inv.true_count]),
-                                       inv.true_count)
-            scores = self.speaker_scores(e_a, h_asr, h_spk, genuine)
-            att = attention_weights(scores)
-            d_bar = weighted_profile(att, genuine)
-            speaker_ids = assign_speakers(att, genuine)
-
-            logits = self.asr_decode(e_a, h_asr, d_bar)
+            f = self.front(x, genuine)
+            speaker_ids = assign_speakers(f.speaker_attention, genuine)
+            logits = self.asr_decode(f.e_a, f.h_asr, f.d_bar)
             if logits.data.shape[0] == 0:
                 return Hypothesis([], [], [])
             posterior = softmax(logits, axis=1).data
@@ -322,15 +359,12 @@ class ArBaselineModel(Module):
                            for _ in range(cfg.encoder_layers)]
         self.token_embed = Embedding(cfg.vocab_size + 2, d, rng)
         self.dec_first = FusedFirstDecoderLayer(cfg.attn, rng)
-        self.dec_layers = [DecoderLayer(cfg.attn, rng, self_attention=True)
+        self.dec_layers = [DecoderLayer(cfg.attn, rng)
                            for _ in range(cfg.decoder_layers - 1)]
         self.out_proj = Linear(d, cfg.vocab_size + 1, rng)
 
     def encode(self, x: Tensor) -> Tensor:
-        h = self.asr_input(x)
-        h = h + Tensor(positional_encoding(h.data.shape[0], h.data.shape[1]))
-        for layer in self.asr_layers:
-            h = layer(h)
+        h, _ = encode_frames(x, self.asr_input, self.asr_layers)
         return h
 
     def decode_prefix(self, prefix_ids, h_asr: Tensor) -> Tensor:
@@ -406,19 +440,6 @@ def save_checkpoint(path, model, extra: dict | None = None):
             fh.write(p.tensor.data.astype("<f8").tobytes())
 
 
-def _read(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise ContractError(
-            f"truncated checkpoint: {what} needs {count} bytes, "
-            f"{len(data)} left")
-    return data
-
-
-def _read_u32s(fh, count: int, what: str) -> tuple:
-    return struct.unpack(f"<{count}I", _read(fh, 4 * count, what))
-
-
 def load_checkpoint(path):
     """Returns (model, header). The model class follows the header kind.
     A truncated or malformed file raises ContractError."""
@@ -426,9 +447,10 @@ def load_checkpoint(path):
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ContractError(f"not a checkpoint file: bad magic {magic!r}")
-        (hlen,) = _read_u32s(fh, 1, "header length")
+        (hlen,) = read_u32s(fh, 1, "checkpoint header length")
         try:
-            header = json.loads(_read(fh, hlen, "header").decode("utf-8"))
+            header = json.loads(read_exact(fh, hlen, "checkpoint header")
+                                .decode("utf-8"))
             cfg = ModelConfig.from_dict(header["config"])
             kind = header["kind"]
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
@@ -436,13 +458,14 @@ def load_checkpoint(path):
             raise ContractError(f"malformed checkpoint header: {exc}") from None
         model = ArBaselineModel(cfg) if kind == "ar" else SaAsrModel(cfg)
         by_name = {p.name: p.tensor for p in model.parameters()}
-        (n_params,) = _read_u32s(fh, 1, "parameter count")
+        (n_params,) = read_u32s(fh, 1, "checkpoint parameter count")
         seen = set()
         for _ in range(n_params):
-            (nlen,) = _read_u32s(fh, 1, "parameter name length")
-            name = _read(fh, nlen, "parameter name").decode("utf-8", "replace")
-            (ndim,) = _read_u32s(fh, 1, f"rank of {name!r}")
-            shape = _read_u32s(fh, ndim, f"shape of {name!r}")
+            (nlen,) = read_u32s(fh, 1, "checkpoint parameter name length")
+            name = read_exact(fh, nlen, "checkpoint parameter name").decode(
+                "utf-8", "replace")
+            (ndim,) = read_u32s(fh, 1, f"checkpoint rank of {name!r}")
+            shape = read_u32s(fh, ndim, f"checkpoint shape of {name!r}")
             if name not in by_name:
                 raise ContractError(f"unknown parameter {name!r} in checkpoint")
             if by_name[name].data.shape != shape:
@@ -450,8 +473,9 @@ def load_checkpoint(path):
                     f"parameter {name!r} shape {shape} does not match "
                     f"model {by_name[name].data.shape}")
             count = int(np.prod(shape))
-            payload = np.frombuffer(_read(fh, 8 * count, f"values of {name!r}"),
-                                    dtype="<f8")
+            payload = np.frombuffer(
+                read_exact(fh, 8 * count, f"checkpoint values of {name!r}"),
+                dtype="<f8")
             by_name[name].data = payload.reshape(shape).astype(np.float64)
             seen.add(name)
         missing = set(by_name) - seen

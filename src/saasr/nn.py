@@ -216,24 +216,19 @@ class EncoderLayer(Module):
 
 
 class DecoderLayer(Module):
-    """Post-norm cross-attention block, optionally with self-attention."""
+    """Post-norm self-attention, cross-attention and feed-forward block."""
 
-    def __init__(self, cfg: AttentionConfig, rng: np.random.Generator,
-                 self_attention: bool = True):
-        self.has_self_attention = self_attention
-        if self_attention:
-            self.self_mha = MultiHeadAttention(cfg, rng)
-            self.ln_self = LayerNorm(cfg.model_dim)
+    def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
+        self.self_mha = MultiHeadAttention(cfg, rng)
+        self.ln_self = LayerNorm(cfg.model_dim)
         self.cross_mha = MultiHeadAttention(cfg, rng)
         self.ff = FeedForward(cfg, rng)
         self.ln1 = LayerNorm(cfg.model_dim)
         self.ln2 = LayerNorm(cfg.model_dim)
 
     def __call__(self, x: Tensor, mem: Tensor,
-                 self_mask: np.ndarray | None = None,
-                 skip_self_attention: bool = False) -> Tensor:
-        if self.has_self_attention and not skip_self_attention:
-            x = self.ln_self(x + self.self_mha(x, x, x, mask=self_mask))
+                 self_mask: np.ndarray | None = None) -> Tensor:
+        x = self.ln_self(x + self.self_mha(x, x, x, mask=self_mask))
         x = self.ln1(x + self.cross_mha(x, mem, mem))
         return self.ln2(x + self.ff(x))
 

@@ -107,7 +107,7 @@ class SpeakerDecoder(Module):
 
     def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
         self.layer1 = SpeakerDecoderLayer1(cfg, rng)
-        self.layer2 = DecoderLayer(cfg, rng, self_attention=True)
+        self.layer2 = DecoderLayer(cfg, rng)
 
     def __call__(self, e_a: Tensor, h_asr: Tensor, h_spk: Tensor) -> Tensor:
         e_as = self.layer1(e_a, h_asr, h_spk)

@@ -156,14 +156,15 @@ def session_losses(model: SaAsrModel, item: SessionBatchItem,
     n_tokens = len(item.target_tokens)
     mae = mae_loss(trace.weights, n_tokens)
     infeasible = 0
-    ctc = ctc_loss(model.ctc_head(trace.h_asr), item.target_tokens)
-    if ctc_is_infeasible(ctc):
-        ctc = Tensor(CTC_INFEASIBLE_PENALTY)
-        infeasible += 1
-    inter = ctc_loss(model.inter_ctc_head(trace.h_inter), item.target_tokens)
-    if ctc_is_infeasible(inter):
-        inter = Tensor(CTC_INFEASIBLE_PENALTY)
-        infeasible += 1
+    ctc_terms = []
+    for head, frames in ((model.ctc_head, trace.h_asr),
+                         (model.inter_ctc_head, trace.h_inter)):
+        term = ctc_loss(head(frames), item.target_tokens)
+        if ctc_is_infeasible(term):
+            term = Tensor(CTC_INFEASIBLE_PENALTY)
+            infeasible += 1
+        ctc_terms.append(term)
+    ctc, inter = ctc_terms
     ce = ce_loss(trace.second_pass_logits, item.target_tokens)
     spk = speaker_loss(trace.cosine, item.speaker_indices)
     if speaker_weight != 1.0:
@@ -194,6 +195,10 @@ def train(cfg: TrainConfig, dataset: Dataset,
     params = model.parameters()
     opt = Adam(params, lr=cfg.learning_rate, warmup_steps=cfg.warmup_steps)
     items = prepare_batch_items(dataset, cfg)
+    for item in items:
+        # inside the loop, a ContractError from bad data would read as
+        # divergence at step one
+        model.check_inputs(item.features, item.inventory)
     fill_to = None
     if cfg.fill_speakers_enabled:
         # one slot past the largest augmented inventory, so every session
@@ -341,24 +346,15 @@ def evaluate(model_or_path, dataset: Dataset,
 def validation_ce(model: SaAsrModel, dataset: Dataset) -> float:
     """Teacher-forced cross entropy without the sampler: weights scaled to
     the target length, a single decoder pass on pure acoustic embeddings."""
-    from .cif import integrate_and_fire, scale_weights
-    from .speaker import attention_weights, weighted_profile
     cfg = model.cfg
     total, count = 0.0, 0
     with no_grad():
         for sess in dataset.sessions:
             tokens, _ = _session_targets(sess, cfg.use_cc_separator,
                                          cfg.separator_id)
-            x = Tensor(sess.features)
-            h_asr, _ = model.asr_encode(x)
-            h_spk = model.speaker_encode(x)
-            weights = model.predictor(h_asr)
-            plan = integrate_and_fire(h_asr, scale_weights(weights, len(tokens)))
-            scores = model.speaker_scores(plan.embeddings, h_asr, h_spk,
-                                          sess.inventory)
-            att = attention_weights(scores)
-            d_bar = weighted_profile(att, sess.inventory)
-            logits = model.asr_decode(plan.embeddings, h_asr, d_bar)
+            f = model.front(Tensor(sess.features), sess.inventory,
+                            target_len=len(tokens))
+            logits = model.asr_decode(f.e_a, f.h_asr, f.d_bar)
             total += ce_loss(logits, tokens).item() * len(tokens)
             count += len(tokens)
     return total / max(count, 1)

@@ -82,3 +82,11 @@ def test_bench_rejects_non_positive_lengths(checkpoints, lengths):
     nar, ar = checkpoints
     with pytest.raises(ConfigError, match="length"):
         bench_rtf(nar, ar, lengths)
+
+
+def test_bench_warm_up_not_counted(checkpoints):
+    nar, ar = checkpoints
+    result = bench_rtf(nar, ar, [2, 3], seed=0, repeats=2)
+    # 3 frames per output token; one entry per timed repeat only
+    for report in (result.nar, result.ar):
+        assert [f for f, _ in report.per_length_breakdown] == [6, 6, 9, 9]

@@ -207,3 +207,103 @@ def test_bench_bad_lengths_exit_one(workspace, capsys, lengths):
     assert main(["bench", "--nar", str(nar), "--ar", str(ar),
                  "--lengths", lengths]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _damage_session(data_dir, damage):
+    """Rewrite session s000 of a generated dataset with one bad input."""
+    import struct
+
+    import numpy as np
+
+    from saasr.data import FEATURE_MAGIC, read_dataset
+    features = read_dataset(data_dir).sessions[0].features
+    if damage == "feature_dim":
+        features = features[:, :-1]
+    elif damage == "no_frames":
+        features = features[:0]
+    elif damage == "nan":
+        features[2, 3] = np.nan
+    elif damage == "profile_dim":
+        inv = data_dir / "s000.inv"
+        head, *rows = inv.read_text().splitlines()
+        inv.write_text("\n".join([head] + [r.rsplit(" ", 1)[0] for r in rows])
+                       + "\n")
+    t_len, dim = features.shape
+    (data_dir / "s000.feat").write_bytes(
+        FEATURE_MAGIC + struct.pack("<II", t_len, dim)
+        + features.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("feature_dim", "features must be frames x 8"),
+    ("no_frames", "features have no frames"),
+    ("nan", "features contain non-finite values"),
+    ("profile_dim", "speaker profile 's000_spk0' has shape (7,)"),
+])
+def test_eval_bad_session_input_exits_one(workspace, capsys, damage, message):
+    from saasr.model import SaAsrModel, save_checkpoint
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    _damage_session(data_dir, damage)
+    ckpt = workspace / "model.ckpt"
+    save_checkpoint(ckpt, SaAsrModel(_small_model_config()))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(data_dir)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keep", ["half", 8])
+def test_train_truncated_features_exit_one(workspace, capsys, keep):
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    feat = data_dir / "s000.feat"
+    blob = feat.read_bytes()
+    feat.write_bytes(blob[:len(blob) // 2 if keep == "half" else keep])
+    capsys.readouterr()
+    assert main(["train", "--data", str(data_dir),
+                 "--out", str(workspace / "run"),
+                 "--config", str(workspace / "train.cfg")]) == 1
+    assert "error: truncated s000.feat" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, row, bad", [
+    ("s001.inv", 1, "s001_spk0 0.5 oops"),
+    ("s001.inv", 0, "true_count"),
+    ("s001.tokens", 0, "3 s001_spk0 4"),
+])
+def test_train_malformed_text_file_exits_one(workspace, capsys, name, row, bad):
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    lines = (data_dir / name).read_text().splitlines()
+    lines[row] = bad
+    (data_dir / name).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data_dir),
+                 "--out", str(workspace / "run"),
+                 "--config", str(workspace / "train.cfg")]) == 1
+    assert f"error: {name}: malformed" in capsys.readouterr().err
+
+
+def test_gen_data_unreadable_value_exits_one(workspace, capsys):
+    (workspace / "bad.cfg").write_text("speakers_per_session = 3\n")
+    assert main(["gen-data", "--config", str(workspace / "bad.cfg"),
+                 "--out", str(workspace / "d")]) == 1
+    assert "speakers_per_session" in capsys.readouterr().err
+
+
+def test_train_manifest_without_sessions_exits_one(workspace, capsys):
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    manifest = data_dir / "manifest.txt"
+    manifest.write_text("".join(line for line in manifest.read_text()
+                                .splitlines(keepends=True)
+                                if not line.startswith("sessions")))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data_dir),
+                 "--out", str(workspace / "run")]) == 1
+    assert "no sessions line" in capsys.readouterr().err

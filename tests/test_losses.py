@@ -9,8 +9,8 @@ import pytest
 from saasr.errors import ConfigError, ContractError
 from saasr.losses import (CTC_INFEASIBLE_PENALTY, LossWeights, ce_loss,
                           composite_loss, ctc_is_infeasible, ctc_loss,
-                          ctc_min_frames, inter_ctc_loss, speaker_loss)
-from saasr.nn import Linear, Parameter
+                          ctc_min_frames, speaker_loss)
+from saasr.nn import Parameter
 from saasr.speaker import CosineScores
 from saasr.tensor import Tensor, grad_check
 
@@ -149,44 +149,6 @@ def test_ctc_gradient_with_repeats():
 
     report = grad_check(loss, [Parameter("logits", logits)], tolerance=1e-4)
     assert report.passed, str(report)
-
-
-# -- intermediate-layer CTC ----------------------------------------------------------
-
-def test_inter_ctc_single_alignment_case():
-    rng = np.random.default_rng(7)
-    head = Linear(3, 5, rng)
-    h = Tensor(rng.uniform(-1, 1, (1, 3)))
-    loss = inter_ctc_loss(h, head, [2])
-    expected = -log_probs(head(h).data)[0, 2]
-    assert abs(loss.item() - expected) < 1e-12
-
-
-def test_inter_ctc_equals_main_ctc_on_same_inputs():
-    rng = np.random.default_rng(8)
-    head = Linear(3, 5, rng)
-    h = Tensor(rng.uniform(-1, 1, (4, 3)))
-    target = [1, 3]
-    assert inter_ctc_loss(h, head, target).item() == \
-        ctc_loss(head(h), target).item()
-
-
-def test_inter_ctc_matches_enumeration_oracle():
-    rng = np.random.default_rng(9)
-    head = Linear(3, 4, rng)
-    h = Tensor(rng.uniform(-1, 1, (3, 3)))
-    target = [0, 2]
-    loss = inter_ctc_loss(h, head, target)
-    expected = ctc_enumeration_oracle(head(h).data, target, blank=3)
-    assert abs(loss.item() - expected) < 1e-8
-
-
-def test_inter_ctc_gradient_reaches_hidden_states():
-    rng = np.random.default_rng(10)
-    head = Linear(3, 4, rng)
-    h = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
-    inter_ctc_loss(h, head, [1]).backward()
-    assert h.grad is not None and np.any(h.grad != 0)
 
 
 # -- speaker loss ------------------------------------------------------------------

@@ -2,13 +2,12 @@
 
 import functools
 import itertools
-import time
 
 import numpy as np
 import pytest
 
 from saasr.errors import ContractError
-from saasr.metrics import EditCounts, edit_align, rtf_measure, sd_cer
+from saasr.metrics import EditCounts, edit_align, rtf_report, sd_cer
 
 
 def levenshtein_oracle(ref, hyp):
@@ -129,8 +128,7 @@ def test_sd_cer_invariant_under_consistent_relabeling():
 # -- RTF ------------------------------------------------------------------------
 
 def test_rtf_simple_ratio():
-    report = rtf_measure(lambda payload: time.sleep(0.002),
-                         [(125, None), (125, None)], frame_shift_ms=8.0)
+    report = rtf_report([(125, 0.002), (125, 0.003)], frame_shift_ms=8.0)
     # 250 frames at 8 ms = 2 s of audio
     assert abs(report.total_audio_seconds - 2.0) < 1e-12
     assert report.rtf == report.total_inference_seconds / 2.0
@@ -138,33 +136,20 @@ def test_rtf_simple_ratio():
 
 
 def test_rtf_audio_duration_from_frame_shift():
-    report = rtf_measure(lambda payload: None, [(1000, None)], frame_shift_ms=8.0)
+    report = rtf_report([(1000, 0.0)], frame_shift_ms=8.0)
     assert abs(report.total_audio_seconds - 8.0) < 1e-12
 
 
 def test_rtf_zero_duration_rejected():
-    with pytest.raises(ContractError):
-        rtf_measure(lambda payload: None, [(0, None)], frame_shift_ms=8.0)
+    for breakdown in ([(0, 0.01)], []):
+        with pytest.raises(ContractError):
+            rtf_report(breakdown, frame_shift_ms=8.0)
 
 
 def test_rtf_invariant_to_order():
-    def decode(payload):
-        time.sleep(payload)
-
-    utts = [(100, 0.001), (200, 0.002), (300, 0.0015)]
-    a = rtf_measure(decode, utts, frame_shift_ms=8.0)
-    b = rtf_measure(decode, list(reversed(utts)), frame_shift_ms=8.0)
+    breakdown = [(100, 0.001), (200, 0.002), (300, 0.0015)]
+    a = rtf_report(breakdown, frame_shift_ms=8.0)
+    b = rtf_report(list(reversed(breakdown)), frame_shift_ms=8.0)
     assert abs(a.total_audio_seconds - b.total_audio_seconds) < 1e-12
-    # timing itself jitters; the audio denominator and decode set are the same
-    assert {f for f, _ in a.per_length_breakdown} == \
-        {f for f, _ in b.per_length_breakdown}
-
-
-def test_rtf_warm_up_not_counted():
-    calls = []
-
-    def decode(payload):
-        calls.append(payload)
-
-    rtf_measure(decode, [(10, "x"), (10, "y")], frame_shift_ms=8.0)
-    assert calls == ["x", "x", "y"]  # first utterance decoded twice
+    assert abs(a.rtf - b.rtf) < 1e-12
+    assert sorted(a.per_length_breakdown) == sorted(b.per_length_breakdown)

@@ -8,7 +8,7 @@ from saasr.model import (ArBaselineModel, ModelConfig, SaAsrModel,
                          glancing_sample, load_checkpoint, save_checkpoint)
 from saasr.nn import AttentionConfig
 from saasr.speaker import SpeakerInventory, SpeakerProfile
-from saasr.tensor import Tensor, tsum
+from saasr.tensor import Tensor, matmul, transpose, tsum
 
 
 def tiny_cfg(**overrides):
@@ -77,6 +77,19 @@ def test_inter_tap_is_requested_layer_output():
     assert np.array_equal(h.data, e.data)
 
 
+def test_ar_encoder_matches_asr_encoder_with_copied_weights():
+    cfg = tiny_cfg()
+    nar = SaAsrModel(cfg, seed=20)
+    ar = ArBaselineModel(cfg, seed=21)
+    source = {p.name: p.tensor for p in nar.parameters()}
+    for p in ar.parameters():
+        if p.name.startswith(("asr_input.", "asr_layers.")):
+            p.tensor.data = source[p.name].data.copy()
+    x = random_features(7, cfg, seed=22)
+    h, _ = nar.asr_encode(x)
+    assert np.array_equal(ar.encode(x).data, h.data)
+
+
 def test_speaker_encode_shape_and_determinism():
     cfg = tiny_cfg()
     model = SaAsrModel(cfg, seed=2)
@@ -120,11 +133,16 @@ def test_profile_perturbation_is_local_without_self_attention():
     rng = np.random.default_rng(10)
     e = Tensor(rng.uniform(-1, 1, (5, 8)))
     d_bar = rng.uniform(-1, 1, (5, cfg.d_spk))
-    base = model.asr_decode(e, h, Tensor(d_bar), disable_self_attention=True)
     bumped = d_bar.copy()
     bumped[2] += 0.75
-    out = model.asr_decode(e, h, Tensor(bumped), disable_self_attention=True)
-    diff = np.abs(out.data - base.data).sum(axis=1)
+
+    # the fused first layer has no self-attention: positions stay apart
+    def first_layer(profiles):
+        fusion = matmul(Tensor(profiles), transpose(model.w_spk))
+        return model.dec_first(e, h, fusion)
+
+    diff = np.abs(first_layer(bumped).data
+                  - first_layer(d_bar).data).sum(axis=1)
     assert diff[2] > 1e-6
     assert np.all(diff[[0, 1, 3, 4]] == 0.0)
     # with self-attention active the perturbation spreads

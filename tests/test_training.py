@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from saasr.data import SynthSpec, generate_dataset
-from saasr.errors import ConfigError
-from saasr.losses import LossWeights
+from saasr.errors import ConfigError, ContractError
+from saasr.losses import LossWeights, ce_loss, ctc_loss
 from saasr.model import ModelConfig, SaAsrModel, load_checkpoint
 from saasr.nn import AttentionConfig
-from saasr.training import (Adam, TrainConfig, evaluate, train,
-                            validation_ce)
+from saasr.training import (Adam, TrainConfig, evaluate, prepare_batch_items,
+                            session_losses, train, validation_ce)
 
 
 def tiny_dataset(seed=11, sessions=3, vocab=14):
@@ -192,6 +192,51 @@ def test_validation_ce_decreases_with_training():
     train(cfg, ds, init_model=model)
     after = validation_ce(model, ds)
     assert after < before
+
+
+def test_validation_ce_is_first_pass_ce_without_filling():
+    ds = tiny_dataset()
+    cfg = tiny_train_cfg(ds, interfering_m=0)
+    model = SaAsrModel(cfg.model, seed=6)
+    total, count = 0.0, 0
+    for item in prepare_batch_items(ds, cfg):
+        trace = model.two_pass_train_forward(
+            item.features, item.target_tokens, item.speaker_indices,
+            item.inventory, sampler_seed=item.sampler_seed, fill_to=None)
+        n = len(item.target_tokens)
+        total += ce_loss(trace.first_pass_logits, item.target_tokens).item() * n
+        count += n
+    assert validation_ce(model, ds) == total / count
+
+
+def test_inter_ctc_term_reads_the_tap_layer():
+    ds = tiny_dataset()
+    cfg = tiny_train_cfg(ds)
+    assert (cfg.model.encoder_layers, cfg.model.inter_ctc_layer) == (2, 1)
+    model = SaAsrModel(cfg.model, seed=7)
+    item = prepare_batch_items(ds, cfg)[0]
+    breakdown, infeasible = session_losses(model, item, cfg.loss, fill_to=None)
+    assert infeasible == 0
+    _, h_inter = model.asr_encode(item.features)
+    assert breakdown.inter_ctc.item() == ctc_loss(
+        model.inter_ctc_head(h_inter), item.target_tokens).item()
+
+    model.zero_grad()
+    breakdown.inter_ctc.backward()
+
+    def reached(prefix):
+        return any(p.tensor.grad is not None and np.any(p.tensor.grad != 0)
+                   for p in model.parameters() if p.name.startswith(prefix))
+
+    assert reached("asr_layers.0.") and reached("inter_ctc_head.")
+    assert not reached("asr_layers.1.") and not reached("ctc_head.")
+
+
+def test_train_rejects_non_finite_features():
+    ds = tiny_dataset()
+    ds.sessions[1].features[3, 2] = np.nan
+    with pytest.raises(ContractError, match="non-finite"):
+        train(tiny_train_cfg(ds), ds)
 
 
 def test_adam_zero_grad_is_noop_step():
