@@ -77,8 +77,6 @@ def _seconds(fn) -> float:
 
 
 def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0,
-              frames_per_output: int = FRAMES_PER_OUTPUT,
-              frame_shift_ms: float = FRAME_SHIFT_MS,
               repeats: int = 5) -> BenchResult:
     """For each requested output length, synthesize inputs driving that
     length, then time parallel decodes against greedy decodes forced to
@@ -90,6 +88,8 @@ def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0,
     if not lengths or min(lengths) < 1:
         raise ConfigError(
             f"bench needs at least one output length, all >= 1: {lengths}")
+    if repeats < 1:
+        raise ConfigError(f"bench needs at least one repeat, got {repeats}")
     nar_model, _ = load_checkpoint(nar_ckpt)
     ar_model, _ = load_checkpoint(ar_ckpt)
     if not isinstance(nar_model, SaAsrModel) or \
@@ -107,7 +107,7 @@ def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0,
     rows = []
     nar_breakdown, ar_breakdown = [], []
     for length in lengths:
-        frames = frames_per_output * length
+        frames = FRAMES_PER_OUTPUT * length
         x = Tensor(rng.uniform(-1, 1, (frames, nar_model.cfg.feature_dim)))
         _rig_output_length(nar_model, length, frames)
 
@@ -123,7 +123,7 @@ def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0,
         for _ in range(repeats):
             nar_sec.append(_seconds(nar))
             ar_sec.append(_seconds(ar))
-        audio = repeats * frames * frame_shift_ms / 1000.0
+        audio = repeats * frames * FRAME_SHIFT_MS / 1000.0
         rows.append(BenchRow(length=length, rtf_nar=sum(nar_sec) / audio,
                              rtf_ar=sum(ar_sec) / audio,
                              repeat_ratios=[a / n for a, n in
@@ -131,5 +131,5 @@ def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0,
         nar_breakdown.extend((frames, dt) for dt in nar_sec)
         ar_breakdown.extend((frames, dt) for dt in ar_sec)
 
-    return BenchResult(nar=rtf_report(nar_breakdown, frame_shift_ms),
-                       ar=rtf_report(ar_breakdown, frame_shift_ms), rows=rows)
+    return BenchResult(nar=rtf_report(nar_breakdown, FRAME_SHIFT_MS),
+                       ar=rtf_report(ar_breakdown, FRAME_SHIFT_MS), rows=rows)

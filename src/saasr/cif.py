@@ -28,7 +28,6 @@ class WeightSequence:
 
 @dataclass
 class FiringPlan:
-    threshold_beta: float
     firings: list          # 0-based frame index of each threshold crossing
     residue: float         # accumulated weight left past the last frame
     embeddings: Tensor     # N x d, one weighted frame combination per token
@@ -136,8 +135,8 @@ def integrate_and_fire(h: Tensor, w: WeightSequence,
 
     weights = graph_node(weights_np, (alpha,), vjp)
     embeddings = matmul(weights, h)
-    return FiringPlan(threshold_beta=beta, firings=firings, residue=residue,
-                      embeddings=embeddings, frame_weights=weights)
+    return FiringPlan(firings=firings, residue=residue, embeddings=embeddings,
+                      frame_weights=weights)
 
 
 def scale_weights(w: WeightSequence, target_len: int,

@@ -8,13 +8,10 @@ import sys
 from pathlib import Path
 
 from .bench import bench_rtf
-from .data import (SynthSpec, generate_dataset, parse_flat_config,
-                   read_dataset, spec_from_pairs, write_dataset)
+from .data import (SynthSpec, config_from_pairs, generate_dataset,
+                   parse_flat_config, read_dataset, write_dataset)
 from .diagnostics import run_gradient_suite
 from .errors import ConfigError, ContractError, ShapeError
-from .losses import LossWeights
-from .model import ModelConfig
-from .nn import AttentionConfig
 from .training import TrainConfig, evaluate, train
 
 
@@ -58,81 +55,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # -- config plumbing -----------------------------------------------------------
 
-TRAIN_INT_KEYS = {"epochs", "batch_size", "warmup_steps", "seed",
-                  "interfering_m", "stage1_epochs", "early_stop_patience"}
-TRAIN_FLOAT_KEYS = {"learning_rate"}
-TRAIN_BOOL_KEYS = {"fill_speakers_enabled"}
-MODEL_INT_KEYS = {"vocab_size", "feature_dim", "encoder_layers",
-                  "decoder_layers", "speaker_encoder_layers", "d_spk",
-                  "inter_ctc_layer"}
-MODEL_FLOAT_KEYS = {"sampling_factor_lambda"}
-MODEL_BOOL_KEYS = {"use_cc_separator"}
-ATTN_KEYS = {"model_dim", "num_heads", "ff_dim"}
-LOSS_KEYS = {"lambda1", "lambda2"}
-
-
-def _parse_bool(value: str) -> bool:
-    if value.lower() in ("1", "true", "yes", "on"):
-        return True
-    if value.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {value!r}")
-
-
 def train_config_from_pairs(pairs: dict, dataset_spec: SynthSpec) -> TrainConfig:
-    """Assemble a TrainConfig from flat dotted keys; model vocab and feature
-    dims default to the dataset's."""
-    model_kwargs = {"vocab_size": dataset_spec.vocab_size,
-                    "feature_dim": dataset_spec.feature_dim,
-                    "d_spk": dataset_spec.feature_dim}
-    attn_kwargs = {}
-    loss_kwargs = {}
-    train_kwargs = {}
-    for key, value in pairs.items():
-        if key.startswith("model.attn."):
-            sub = key[len("model.attn."):]
-            if sub not in ATTN_KEYS:
-                raise ConfigError(f"unknown key {key!r}")
-            attn_kwargs[sub] = int(value)
-        elif key.startswith("model."):
-            sub = key[len("model."):]
-            if sub in MODEL_INT_KEYS:
-                model_kwargs[sub] = int(value)
-            elif sub in MODEL_FLOAT_KEYS:
-                model_kwargs[sub] = float(value)
-            elif sub in MODEL_BOOL_KEYS:
-                model_kwargs[sub] = _parse_bool(value)
-            else:
-                raise ConfigError(f"unknown key {key!r}")
-        elif key.startswith("loss."):
-            sub = key[len("loss."):]
-            if sub not in LOSS_KEYS:
-                raise ConfigError(f"unknown key {key!r}")
-            loss_kwargs[sub] = float(value)
-        elif key in TRAIN_INT_KEYS:
-            train_kwargs[key] = int(value)
-        elif key in TRAIN_FLOAT_KEYS:
-            train_kwargs[key] = float(value)
-        elif key in TRAIN_BOOL_KEYS:
-            train_kwargs[key] = _parse_bool(value)
-        else:
-            raise ConfigError(f"unknown key {key!r}")
-    if attn_kwargs:
-        model_kwargs["attn"] = AttentionConfig(
-            model_dim=attn_kwargs.get("model_dim", 32),
-            num_heads=attn_kwargs.get("num_heads", 4),
-            ff_dim=attn_kwargs.get("ff_dim", 64))
-    return TrainConfig(model=ModelConfig(**model_kwargs),
-                       loss=LossWeights(**loss_kwargs), **train_kwargs)
+    """A TrainConfig from flat dotted keys; the model's vocabulary, feature
+    and speaker-profile dims default to the dataset's."""
+    dims = {"model.vocab_size": str(dataset_spec.vocab_size),
+            "model.feature_dim": str(dataset_spec.feature_dim),
+            "model.d_spk": str(dataset_spec.feature_dim)}
+    return config_from_pairs(TrainConfig, {**dims, **pairs})
 
 
 # -- subcommands -----------------------------------------------------------------
 
 def _cmd_gen_data(args) -> int:
     pairs = parse_flat_config(Path(args.config).read_text()) if args.config else {}
-    spec = spec_from_pairs(pairs)
     if args.seed is not None:
-        spec.seed = args.seed
+        pairs["seed"] = str(args.seed)
+    spec = config_from_pairs(SynthSpec, pairs)
     dataset = generate_dataset(spec)
     write_dataset(args.out, dataset)
     total_frames = sum(s.frames for s in dataset.sessions)
@@ -144,9 +82,9 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     dataset = read_dataset(args.data)
     pairs = parse_flat_config(Path(args.config).read_text()) if args.config else {}
-    cfg = train_config_from_pairs(pairs, dataset.spec)
     if args.seed is not None:
-        cfg.seed = args.seed
+        pairs["seed"] = str(args.seed)
+    cfg = train_config_from_pairs(pairs, dataset.spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg.checkpoint_path = str(out / "model.ckpt")

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,10 +28,10 @@ OVERLAP_RETRIES = 60
 @dataclass
 class SynthSpec:
     num_sessions: int = 16
-    speakers_per_session: tuple = (2, 3)
+    speakers_per_session: tuple[int, int] = (2, 3)
     vocab_size: int = 40
-    tokens_per_utterance: tuple = (5, 8)
-    frames_per_token: tuple = (2, 4)
+    tokens_per_utterance: tuple[int, int] = (5, 8)
+    frames_per_token: tuple[int, int] = (2, 4)
     overlap_ratio_target: float = 0.42
     feature_dim: int = 16
     noise_std: float = 0.05
@@ -59,6 +60,8 @@ class SynthSpec:
             raise ConfigError("noise_std must be nonnegative")
         if self.bigram_concentration <= 0:
             raise ConfigError("bigram_concentration must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -204,30 +207,11 @@ def generate_dataset(spec: SynthSpec) -> Dataset:
     return Dataset(spec=spec, sessions=sessions)
 
 
-# -- on-disk layout ---------------------------------------------------------
+# -- flat config files ---------------------------------------------------------
 #
-# <dir>/manifest.txt         flat key = value lines plus the session list
-# <dir>/<sid>.feat           binary: magic, u32 T, u32 F, row-major float64
-# <dir>/<sid>.tokens         text: "token speaker start end" per line
-# <dir>/<sid>.inv            text: "true_count K" then "id v1 .. vF" per line
-
-def _spec_to_pairs(spec: SynthSpec):
-    return [
-        ("num_sessions", str(spec.num_sessions)),
-        ("speakers_per_session", f"{spec.speakers_per_session[0]},"
-                                 f"{spec.speakers_per_session[1]}"),
-        ("vocab_size", str(spec.vocab_size)),
-        ("tokens_per_utterance", f"{spec.tokens_per_utterance[0]},"
-                                 f"{spec.tokens_per_utterance[1]}"),
-        ("frames_per_token", f"{spec.frames_per_token[0]},"
-                             f"{spec.frames_per_token[1]}"),
-        ("overlap_ratio_target", repr(spec.overlap_ratio_target)),
-        ("feature_dim", str(spec.feature_dim)),
-        ("noise_std", repr(spec.noise_std)),
-        ("bigram_concentration", repr(spec.bigram_concentration)),
-        ("seed", str(spec.seed)),
-    ]
-
+# A config dataclass is read and written through its own fields. A field of a
+# kind with no parser below (such as ``TrainConfig.checkpoint_path``) has no
+# key.
 
 def parse_flat_config(text: str) -> dict:
     """key = value lines; blank lines and # comments ignored."""
@@ -243,35 +227,99 @@ def parse_flat_config(text: str) -> dict:
     return out
 
 
-def spec_from_pairs(pairs: dict) -> SynthSpec:
-    def parse_range(v):
-        lo, hi = v.split(",")
-        return (int(lo), int(hi))
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
 
-    kwargs = {}
-    for key, value in pairs.items():
-        if key in ("num_sessions", "vocab_size", "feature_dim", "seed"):
-            parse = int
-        elif key in ("speakers_per_session", "tokens_per_utterance",
-                     "frames_per_token"):
-            parse = parse_range
-        elif key in ("overlap_ratio_target", "noise_std",
-                     "bigram_concentration"):
-            parse = float
+
+def _parse_pair(text: str) -> tuple:
+    lo, hi = text.split(",")
+    return (int(lo), int(hi))
+
+
+_PARSERS = {int: int, float: float, bool: _parse_bool,
+            tuple[int, int]: _parse_pair}
+
+
+def _default(f):
+    """A dataclass field's default value, or MISSING."""
+    if f.default_factory is not MISSING:
+        return f.default_factory()
+    return f.default
+
+
+def _build_config(cls, pairs: dict, prefix: str, base):
+    """``cls`` from ``pairs``, whose keys are relative to ``prefix``; a field
+    not given takes its value from ``base``, or, when that is MISSING, its
+    default."""
+    kinds = get_type_hints(cls)
+    values = {} if base is MISSING else {f.name: getattr(base, f.name)
+                                         for f in fields(cls)}
+    nested = {f.name: {} for f in fields(cls) if is_dataclass(kinds[f.name])}
+    for key, text in pairs.items():
+        name, dot, rest = key.partition(".")
+        if dot and name in nested:
+            nested[name][rest] = text
+        elif not dot and kinds.get(name) in _PARSERS:
+            try:
+                values[name] = _PARSERS[kinds[name]](text)
+            except ValueError:
+                raise ConfigError(
+                    f"key {prefix + key!r}: cannot read {text!r}") from None
         else:
-            raise ConfigError(f"unknown dataset key {key!r}")
-        try:
-            kwargs[key] = parse(value)
-        except ValueError:
-            raise ConfigError(
-                f"dataset key {key!r}: cannot read {value!r}") from None
-    return SynthSpec(**kwargs)
+            raise ConfigError(f"unknown key {prefix + key!r}")
+    for f in fields(cls):
+        if f.name in nested:
+            values[f.name] = _build_config(
+                kinds[f.name], nested[f.name], f"{prefix}{f.name}.",
+                values.get(f.name, _default(f)))
+        elif f.name not in values and _default(f) is MISSING:
+            raise ConfigError(f"missing key {prefix + f.name!r}")
+    return cls(**values)
 
+
+def config_from_pairs(cls, pairs: dict):
+    """The config dataclass ``cls`` from flat ``key = value`` pairs. A key
+    parses by its field's declared type: int, float, bool
+    (1/true/yes/on, 0/false/no/off) or an int pair written ``lo,hi``. The
+    keys of a nested config dataclass, under ``<field>.``, are layered over
+    that field's default. An unknown key or an unreadable value raises
+    ConfigError."""
+    return _build_config(cls, pairs, "", MISSING)
+
+
+def config_pairs(cfg) -> list:
+    """(key, text) for every field of ``cfg`` that config_from_pairs reads,
+    in field order. ``str`` of a float is its repr, the shortest text that
+    reads back to the same value."""
+    kinds = get_type_hints(type(cfg))
+    pairs = []
+    for f in fields(cfg):
+        value, kind = getattr(cfg, f.name), kinds[f.name]
+        if is_dataclass(kind):
+            pairs.extend((f"{f.name}.{key}", text)
+                         for key, text in config_pairs(value))
+        elif kind == tuple[int, int]:
+            pairs.append((f.name, f"{value[0]},{value[1]}"))
+        elif kind in _PARSERS:
+            pairs.append((f.name, str(value)))
+    return pairs
+
+
+# -- on-disk layout ---------------------------------------------------------
+#
+# <dir>/manifest.txt         flat key = value lines plus the session list
+# <dir>/<sid>.feat           binary: magic, u32 T, u32 F, row-major float64
+# <dir>/<sid>.tokens         text: "token speaker start end" per line
+# <dir>/<sid>.inv            text: "true_count K" then "id v1 .. vF" per line
 
 def write_dataset(directory, dataset: Dataset):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = [f"{k} = {v}" for k, v in _spec_to_pairs(dataset.spec)]
+    lines = [f"{k} = {v}" for k, v in config_pairs(dataset.spec)]
     lines.append("sessions = " + ",".join(s.session_id for s in dataset.sessions))
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
     for sess in dataset.sessions:
@@ -343,7 +391,7 @@ def read_dataset(directory) -> Dataset:
     if "sessions" not in pairs:
         raise ContractError(f"{directory / 'manifest.txt'} has no sessions line")
     session_ids = [s for s in pairs.pop("sessions").split(",") if s]
-    spec = spec_from_pairs(pairs)
+    spec = config_from_pairs(SynthSpec, pairs)
     sessions = []
     for sid in session_ids:
         with open(directory / f"{sid}.feat", "rb") as fh:

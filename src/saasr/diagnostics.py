@@ -7,12 +7,12 @@ import numpy as np
 
 from .cif import WeightPredictor, WeightSequence, integrate_and_fire, mae_loss
 from .data import SynthSpec, generate_dataset
-from .losses import LossWeights
+from .losses import LossWeights, ce_loss, ctc_loss, speaker_loss
 from .nn import (AttentionConfig, EncoderLayer, FeedForward, LayerNorm,
                  MultiHeadAttention, Parameter, attention_core, causal_mask)
 from .model import ModelConfig, SaAsrModel
-from .speaker import (SpeakerDecoder, SpeakerInventory, SpeakerProfile,
-                      attention_weights, cosine_scores)
+from .speaker import (CosineScores, SpeakerDecoder, SpeakerInventory,
+                      SpeakerProfile, attention_weights, cosine_scores)
 from .tensor import (Tensor, grad_check, linear, log_softmax, matmul, softmax,
                      tsum)
 from .training import TrainConfig, prepare_batch_items, session_losses
@@ -112,8 +112,6 @@ def _block_checks(rng):
                    lambda: tsum(spk_dec(ea, ha, hs) * spk_dec(ea, ha, hs)),
                    spk_dec.named_parameters("spkdec")))
 
-    from .losses import ce_loss, ctc_loss, speaker_loss
-    from .speaker import CosineScores
     logits = Tensor(rng.uniform(-1, 1, (4, 6)), requires_grad=True)
     checks.append(("ce_loss", lambda: ce_loss(logits, [0, 5, 2, 3]),
                    [Parameter("logits", logits)]))

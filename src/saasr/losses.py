@@ -66,19 +66,18 @@ def ctc_is_infeasible(loss: Tensor) -> bool:
     return math.isinf(loss.item())
 
 
-def ctc_loss(frame_logits: Tensor, target, blank: int | None = None) -> Tensor:
+def ctc_loss(frame_logits: Tensor, target) -> Tensor:
     """Negative log probability of all alignments of ``target`` over the
     frames, computed by the forward algorithm in log space.
 
-    The blank symbol defaults to the last logit column. An infeasible
+    The blank symbol is the last logit column. An infeasible
     instance (too few frames) yields an infinite loss rather than an error.
     """
     logits = frame_logits.data
     if logits.ndim != 2:
         raise ShapeError(f"ctc_loss expects T x (V+1) logits, got {logits.shape}")
     t_len, width = logits.shape
-    if blank is None:
-        blank = width - 1
+    blank = width - 1
     target = list(int(t) for t in target)
     if any(t == blank or not 0 <= t < width for t in target):
         raise ContractError(

@@ -10,6 +10,8 @@ from .errors import ConfigError, ShapeError
 from .tensor import (Tensor, gelu, getitem, graph_node, linear,
                      shifted_logits)
 
+LAYER_NORM_EPS = 1e-5
+
 
 @dataclass
 class Parameter:
@@ -84,8 +86,7 @@ class Embedding(Module):
         return getitem(self.table, np.asarray(ids, dtype=np.intp))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.data.shape != x.data.shape[-1:] or bias.data.shape != x.data.shape[-1:]:
         raise ShapeError(
@@ -93,7 +94,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
             f"do not match last dim of {x.data.shape}")
     x_data = x.data
     centered = x_data - x_data.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True)
+                  + LAYER_NORM_EPS)
     x_hat = centered / std
     out = x_hat * gain.data + bias.data
     lead = tuple(range(x_data.ndim - 1))
@@ -108,13 +110,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias, self.eps)
+        return layer_norm(x, self.gain, self.bias)
 
 
 class MultiHeadAttention(Module):

@@ -371,6 +371,9 @@ def clip_min(a: Tensor, lo: float) -> Tensor:
 
 # -- gradient checking -----------------------------------------------------
 
+GRAD_CHECK_FLOOR = 1e-2
+
+
 @dataclass
 class GradCheckReport:
     """Max relative finite-difference error per parameter."""
@@ -395,16 +398,16 @@ class GradCheckReport:
 
 def grad_check(function, parameters, step: float = 1e-5,
                tolerance: float = 1e-5, max_probes: int | None = None,
-               rng: np.random.Generator | None = None,
-               floor: float = 1e-2) -> GradCheckReport:
+               rng: np.random.Generator | None = None) -> GradCheckReport:
     """Compare analytic gradients of ``function()`` to central differences.
 
     ``function`` must be deterministic and return a scalar Tensor built from
     ``parameters`` (a sequence of objects with ``name`` and ``tensor``).
     When ``max_probes`` is set, at most that many randomly chosen elements
     per parameter are probed; otherwise every element is. Errors are
-    relative to the larger of the two values, floored at ``floor`` so that
-    noise-level gradient components do not dominate the report.
+    relative to the larger of the two values, floored at
+    ``GRAD_CHECK_FLOOR`` so that noise-level gradient components do not
+    dominate the report.
     """
     report = GradCheckReport(tolerance=tolerance)
     if not parameters:
@@ -441,7 +444,7 @@ def grad_check(function, parameters, step: float = 1e-5,
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
             a = analytic[p.name].reshape(-1)[i]
-            denom = max(abs(a), abs(numeric), floor)
+            denom = max(abs(a), abs(numeric), GRAD_CHECK_FLOOR)
             worst = max(worst, abs(a - numeric) / denom)
         report.errors[p.name] = worst
     return report

@@ -45,18 +45,21 @@ class TrainConfig:
             raise ConfigError("learning_rate must be nonnegative")
         if self.interfering_m < 0:
             raise ConfigError("interfering_m must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+
+
+ADAM_B1, ADAM_B2 = 0.9, 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
     """Adam with a warmup-then-inverse-sqrt learning-rate schedule."""
 
-    def __init__(self, parameters, lr: float, warmup_steps: int = 200,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, parameters, lr: float, warmup_steps: int = 200):
         self.parameters = list(parameters)
         self.lr = lr
         self.warmup = warmup_steps
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.tensor.data) for p in self.parameters]
         self.v = [np.zeros_like(p.tensor.data) for p in self.parameters]
@@ -75,11 +78,11 @@ class Adam:
                 g = p.tensor.grad
                 if g is None:
                     continue
-                self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
-                self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * (g * g)
-                m_hat = self.m[i] / (1 - self.b1 ** self.t)
-                v_hat = self.v[i] / (1 - self.b2 ** self.t)
-                p.tensor.data -= lr_t * m_hat / (np.sqrt(v_hat) + self.eps)
+                self.m[i] = ADAM_B1 * self.m[i] + (1 - ADAM_B1) * g
+                self.v[i] = ADAM_B2 * self.v[i] + (1 - ADAM_B2) * (g * g)
+                m_hat = self.m[i] / (1 - ADAM_B1 ** self.t)
+                v_hat = self.v[i] / (1 - ADAM_B2 ** self.t)
+                p.tensor.data -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self):
         for p in self.parameters:

@@ -84,6 +84,12 @@ def test_bench_rejects_non_positive_lengths(checkpoints, lengths):
         bench_rtf(nar, ar, lengths)
 
 
+def test_bench_rejects_zero_repeats(checkpoints):
+    nar, ar = checkpoints
+    with pytest.raises(ConfigError, match="repeat"):
+        bench_rtf(nar, ar, [2], repeats=0)
+
+
 def test_bench_warm_up_not_counted(checkpoints):
     nar, ar = checkpoints
     result = bench_rtf(nar, ar, [2, 3], seed=0, repeats=2)

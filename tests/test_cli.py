@@ -1,10 +1,12 @@
 """End-to-end command-line flows on miniature configurations."""
 
 import json
+from dataclasses import fields, is_dataclass
 
 import pytest
 
-from saasr.cli import main
+from saasr.cli import main, train_config_from_pairs
+from saasr.data import SynthSpec, parse_flat_config
 from saasr.model import load_checkpoint
 
 DATA_CFG = """
@@ -98,8 +100,6 @@ def test_bench_command(workspace, capsys):
           "--config", str(workspace / "train.cfg")])
     # an autoregressive twin at the same dims
     from saasr.data import read_dataset
-    from saasr.cli import train_config_from_pairs
-    from saasr.data import parse_flat_config
     from saasr.model import ArBaselineModel, save_checkpoint
     ds = read_dataset(data_dir)
     cfg = train_config_from_pairs(
@@ -307,3 +307,90 @@ def test_train_manifest_without_sessions_exits_one(workspace, capsys):
     assert main(["train", "--data", str(data_dir),
                  "--out", str(workspace / "run")]) == 1
     assert "no sessions line" in capsys.readouterr().err
+
+
+EVERY_TRAIN_FIELD = """
+epochs = 7
+batch_size = 3
+learning_rate = 0.01
+warmup_steps = 50
+seed = 9
+fill_speakers_enabled = off
+interfering_m = 3
+stage1_epochs = 2
+early_stop_patience = 4
+loss.lambda1 = 0.2
+loss.lambda2 = 0.1
+model.vocab_size = 20
+model.feature_dim = 10
+model.attn.model_dim = 12
+model.attn.num_heads = 3
+model.attn.ff_dim = 24
+model.encoder_layers = 3
+model.decoder_layers = 1
+model.speaker_encoder_layers = 3
+model.d_spk = 10
+model.inter_ctc_layer = 2
+model.sampling_factor_lambda = 0.5
+model.use_cc_separator = yes
+"""
+
+
+def _leaves(cfg, prefix=""):
+    """(dotted key, value) for every non-dataclass field, nested ones too."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+def test_train_config_file_sets_every_field():
+    # a config field the file format cannot set fails here; only the
+    # checkpoint path is left to --out
+    default = dict(_leaves(train_config_from_pairs({}, SynthSpec())))
+    cfg = train_config_from_pairs(parse_flat_config(EVERY_TRAIN_FIELD),
+                                  SynthSpec())
+    changed = {key for key, value in _leaves(cfg) if value != default[key]}
+    assert changed == set(default) - {"checkpoint_path"}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("checkpoint_path = x", "unknown key 'checkpoint_path'"),
+    ("model.attn = 3", "unknown key 'model.attn'"),
+    ("epochs = abc", "key 'epochs': cannot read 'abc'"),
+    ("epochs = 1.5", "key 'epochs': cannot read '1.5'"),
+    ("model.attn.model_dim = x", "key 'model.attn.model_dim': cannot read"),
+    ("model.use_cc_separator = maybe", "cannot read 'maybe'"),
+])
+def test_train_bad_config_line_exits_one(workspace, capsys, line, message):
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    (workspace / "bad.cfg").write_text(line + "\n")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data_dir),
+                 "--out", str(workspace / "run"),
+                 "--config", str(workspace / "bad.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("command, line, flags", [
+    ("gen-data", "seed = -3", []),
+    ("gen-data", "", ["--seed", "-1"]),
+    ("train", "seed = -3", []),
+    ("train", "", ["--seed", "-3"]),
+])
+def test_negative_seed_exits_one(workspace, capsys, command, line, flags):
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    (workspace / "seed.cfg").write_text(line + "\n")
+    capsys.readouterr()
+    inputs = ([] if command == "gen-data" else ["--data", str(data_dir)])
+    assert main([command, *inputs, "--out", str(workspace / "out"),
+                 "--config", str(workspace / "seed.cfg"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be nonnegative")

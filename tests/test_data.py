@@ -1,12 +1,16 @@
 """Synthetic session construction and dataset file round trips."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from saasr.data import (SynthSpec, dataset_hash, generate_dataset,
-                        generate_session, measured_overlap, parse_flat_config,
-                        read_dataset, spec_from_pairs, write_dataset)
+from saasr.data import (SynthSpec, config_from_pairs, config_pairs,
+                        dataset_hash, generate_dataset, generate_session,
+                        measured_overlap, parse_flat_config, read_dataset,
+                        write_dataset)
 from saasr.errors import ConfigError
+from saasr.training import TrainConfig
 
 
 def small_spec(**overrides):
@@ -25,6 +29,8 @@ def test_spec_validation():
         small_spec(overlap_ratio_target=1.5)
     with pytest.raises(ConfigError):
         small_spec(noise_std=-0.1)
+    with pytest.raises(ConfigError, match="seed"):
+        small_spec(seed=-3)
 
 
 def test_single_speaker_clean_session_has_constant_token_spans():
@@ -102,7 +108,7 @@ def test_dataset_hash_sensitive_to_content():
 def test_flat_config_parsing():
     pairs = parse_flat_config("# comment\nnum_sessions = 5\n\nseed = 7\n"
                               "frames_per_token = 2,4\n")
-    spec = spec_from_pairs(pairs)
+    spec = config_from_pairs(SynthSpec, pairs)
     assert spec.num_sessions == 5
     assert spec.seed == 7
     assert spec.frames_per_token == (2, 4)
@@ -110,6 +116,31 @@ def test_flat_config_parsing():
 
 def test_flat_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
-        spec_from_pairs({"bogus_key": "1"})
+        config_from_pairs(SynthSpec, {"bogus_key": "1"})
     with pytest.raises(ConfigError):
         parse_flat_config("no equals sign here")
+
+
+def test_spec_pairs_round_trip_every_field():
+    spec = SynthSpec(num_sessions=5, speakers_per_session=(1, 4),
+                     vocab_size=30, tokens_per_utterance=(2, 6),
+                     frames_per_token=(1, 5), overlap_ratio_target=0.25,
+                     feature_dim=12, noise_std=0.1, bigram_concentration=0.5,
+                     seed=11)
+    default = SynthSpec()
+    assert all(getattr(spec, f.name) != getattr(default, f.name)
+               for f in fields(SynthSpec))
+    assert config_from_pairs(SynthSpec, dict(config_pairs(spec))) == spec
+
+
+@pytest.mark.parametrize("key, value", [
+    ("speakers_per_session", "1,2,3"), ("num_sessions", "1.5"),
+    ("noise_std", "x")])
+def test_spec_unreadable_value_is_config_error(key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_pairs(SynthSpec, {key: value})
+
+
+def test_config_without_required_key_is_config_error():
+    with pytest.raises(ConfigError, match="missing key 'model.vocab_size'"):
+        config_from_pairs(TrainConfig, {"epochs": "3"})
