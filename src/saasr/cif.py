@@ -15,18 +15,6 @@ DEFAULT_THRESHOLD = 1.0
 
 
 @dataclass
-class WeightSequence:
-    """Per-frame accumulation weights, one per encoder frame."""
-    alpha: Tensor  # shape (T,)
-
-    def __len__(self):
-        return self.alpha.data.shape[0]
-
-    def total(self) -> float:
-        return float(self.alpha.data.sum())
-
-
-@dataclass
 class FiringPlan:
     firings: list          # 0-based frame index of each threshold crossing
     residue: float         # accumulated weight left past the last frame
@@ -39,15 +27,16 @@ class FiringPlan:
 
 
 class WeightPredictor(Module):
-    """Single linear layer on encoder frames followed by a sigmoid."""
+    """Single linear layer on encoder frames followed by a sigmoid: the
+    per-frame accumulation weights alpha, shape (T,)."""
 
     def __init__(self, model_dim: int, rng: np.random.Generator):
         self.proj = Linear(model_dim, 1, rng)
 
-    def __call__(self, h: Tensor) -> WeightSequence:
+    def __call__(self, h: Tensor) -> Tensor:
         if h.data.ndim != 2 or h.data.shape[0] < 1:
             raise ShapeError(f"predictor expects T x d frames, got {h.data.shape}")
-        return WeightSequence(reshape(sigmoid(self.proj(h)), (h.data.shape[0],)))
+        return reshape(sigmoid(self.proj(h)), (h.data.shape[0],))
 
 
 def _cif_forward(alpha: np.ndarray, beta: float):
@@ -96,7 +85,7 @@ def _cif_forward(alpha: np.ndarray, beta: float):
     return weights, firings, residue, direct, boundary
 
 
-def integrate_and_fire(h: Tensor, w: WeightSequence,
+def integrate_and_fire(h: Tensor, alpha: Tensor,
                        beta: float = DEFAULT_THRESHOLD) -> FiringPlan:
     """Accumulate weights frame by frame; each threshold crossing emits one
     token embedding. The crossing frame's weight is split between the
@@ -105,11 +94,10 @@ def integrate_and_fire(h: Tensor, w: WeightSequence,
     if beta <= 0:
         raise ContractError(f"threshold must be positive, got {beta}")
     T = h.data.shape[0]
-    if len(w) != T:
+    if alpha.data.shape != (T,):
         raise ShapeError(
-            f"frame count mismatch: weights {len(w)} vs frames {T}")
+            f"frame count mismatch: weights {alpha.data.shape} vs frames {T}")
 
-    alpha = w.alpha
     weights_np, firings, residue, direct, boundary = _cif_forward(
         alpha.data, beta)
 
@@ -139,24 +127,24 @@ def integrate_and_fire(h: Tensor, w: WeightSequence,
                       frame_weights=weights)
 
 
-def scale_weights(w: WeightSequence, target_len: int,
-                  beta: float = DEFAULT_THRESHOLD) -> WeightSequence:
+def scale_weights(alpha: Tensor, target_len: int,
+                  beta: float = DEFAULT_THRESHOLD) -> Tensor:
     """Rescale weights so integrate_and_fire emits exactly ``target_len``
     tokens (teacher forcing during training). The gradient flows through
     the normalizing sum."""
     if target_len < 1:
         raise ContractError(f"target_len must be >= 1, got {target_len}")
-    if w.total() <= 0.0:
+    if alpha.data.sum() <= 0.0:
         raise ContractError("degenerate weights: sum of alpha is zero")
     # the tiny bump keeps the final crossing above the threshold after
     # float rounding of the rescaled partial sums
-    factor = Tensor(target_len * beta * (1.0 + 1e-12)) / tsum(w.alpha)
-    return WeightSequence(w.alpha * factor)
+    factor = Tensor(target_len * beta * (1.0 + 1e-12)) / tsum(alpha)
+    return alpha * factor
 
 
-def mae_loss(w: WeightSequence, target_len: int) -> Tensor:
+def mae_loss(alpha: Tensor, target_len: int) -> Tensor:
     """Absolute difference between the accumulated weight and the
     ground-truth token count."""
     if target_len < 0:
         raise ContractError(f"target_len must be >= 0, got {target_len}")
-    return tabs(tsum(w.alpha) - float(target_len))
+    return tabs(tsum(alpha) - float(target_len))

@@ -9,6 +9,7 @@ to a target ratio. Speaker profile dimension equals the feature dimension.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -56,10 +57,13 @@ class SynthSpec:
                               "reserved separator slot")
         if self.num_sessions < 1 or self.feature_dim < 1:
             raise ConfigError("num_sessions and feature_dim must be positive")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be nonnegative")
-        if self.bigram_concentration <= 0:
-            raise ConfigError("bigram_concentration must be positive")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ConfigError(f"noise_std must be finite and nonnegative, "
+                              f"got {self.noise_std}")
+        if not (math.isfinite(self.bigram_concentration)
+                and self.bigram_concentration > 0):
+            raise ConfigError(f"bigram_concentration must be finite and "
+                              f"positive, got {self.bigram_concentration}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
@@ -265,6 +269,9 @@ def _build_config(cls, pairs: dict, prefix: str, base):
             nested[name][rest] = text
         elif not dot and kinds.get(name) in _PARSERS:
             try:
+                # int(12.7) would truncate a value read from JSON
+                if not isinstance(text, str):
+                    raise ValueError(text)
                 values[name] = _PARSERS[kinds[name]](text)
             except ValueError:
                 raise ConfigError(
@@ -286,8 +293,8 @@ def config_from_pairs(cls, pairs: dict):
     parses by its field's declared type: int, float, bool
     (1/true/yes/on, 0/false/no/off) or an int pair written ``lo,hi``. The
     keys of a nested config dataclass, under ``<field>.``, are layered over
-    that field's default. An unknown key or an unreadable value raises
-    ConfigError."""
+    that field's default. An unknown key or an unreadable or non-string
+    value raises ConfigError."""
     return _build_config(cls, pairs, "", MISSING)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cif import WeightPredictor, WeightSequence, integrate_and_fire, mae_loss
+from .cif import WeightPredictor, integrate_and_fire, mae_loss
 from .data import SynthSpec, generate_dataset
 from .losses import LossWeights, ce_loss, ctc_loss, speaker_loss
 from .nn import (AttentionConfig, EncoderLayer, FeedForward, LayerNorm,
@@ -78,7 +78,7 @@ def _block_checks(rng):
     pred = WeightPredictor(8, rng)
     hp = Tensor(rng.uniform(-1, 1, (6, 8)), requires_grad=True)
     checks.append(("weight_predictor",
-                   lambda: tsum(pred(hp).alpha * pred(hp).alpha),
+                   lambda: tsum(pred(hp) * pred(hp)),
                    pred.named_parameters("pred") + [Parameter("h", hp)]))
 
     alpha = Tensor(rng.uniform(0.05, 0.95, 8), requires_grad=True)
@@ -87,12 +87,12 @@ def _block_checks(rng):
                                (int(np.floor(alpha.data.sum())), 3)))
     checks.append(("integrate_and_fire",
                    lambda: tsum(integrate_and_fire(
-                       hcif, WeightSequence(alpha)).embeddings * probe),
+                       hcif, alpha).embeddings * probe),
                    [Parameter("alpha", alpha), Parameter("h", hcif)]))
 
     alpha2 = Tensor(rng.uniform(0.1, 0.9, 5), requires_grad=True)
     checks.append(("mae_loss",
-                   lambda: mae_loss(WeightSequence(alpha2), 3),
+                   lambda: mae_loss(alpha2, 3),
                    [Parameter("alpha", alpha2)]))
 
     inv = SpeakerInventory(
@@ -101,7 +101,7 @@ def _block_checks(rng):
     att_probe = Tensor(rng.uniform(-1, 1, (2, 3)))
     checks.append(("cosine_attention",
                    lambda: tsum(attention_weights(
-                       cosine_scores(qs, inv)).beta * att_probe),
+                       cosine_scores(qs, inv)) * att_probe),
                    [Parameter("q", qs)]))
 
     spk_dec = SpeakerDecoder(AttentionConfig(4, 2, 6), rng)

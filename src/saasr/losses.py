@@ -24,8 +24,11 @@ class LossWeights:
     lambda2: float = 0.3
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError("interpolation weights must be nonnegative")
+        for name in ("lambda1", "lambda2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"{name} must be finite and nonnegative, got {value}")
         if self.lambda1 + self.lambda2 > 1.0:
             raise ConfigError(
                 f"lambda1 + lambda2 = {self.lambda1 + self.lambda2} exceeds 1")

@@ -7,25 +7,24 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cif import (DEFAULT_THRESHOLD, WeightPredictor, WeightSequence,
-                  integrate_and_fire, scale_weights)
-from .data import read_exact, read_u32s
+from .cif import (DEFAULT_THRESHOLD, WeightPredictor, integrate_and_fire,
+                  scale_weights)
+from .data import config_from_pairs, config_pairs, read_exact, read_u32s
 from .errors import ConfigError, ContractError, ShapeError
 from .metrics import edit_align
-from .nn import (AttentionConfig, DecoderLayer, Embedding, EncoderLayer,
-                 FeedForward, Linear, Module, MultiHeadAttention, causal_mask,
+from .nn import (AttentionConfig, CrossBlock, DecoderLayer, Embedding,
+                 EncoderLayer, Linear, Module, causal_mask,
                  positional_encoding)
-from .speaker import (CosineScores, SpeakerAttention, SpeakerDecoder,
-                      SpeakerInventory, assign_speakers, attention_weights,
-                      cosine_scores, fill_speakers, project_query,
-                      weighted_profile)
+from .speaker import (CosineScores, SpeakerDecoder, SpeakerInventory,
+                      assign_speakers, attention_weights, cosine_scores,
+                      fill_speakers, project_query, weighted_profile)
 from .tensor import Tensor, matmul, no_grad, softmax, transpose
 
-CHECKPOINT_MAGIC = b"SAPF1\n"
+CHECKPOINT_MAGIC = b"SAPF2\n"
 
 
 @dataclass
@@ -49,8 +48,11 @@ class ModelConfig:
             raise ConfigError(
                 f"inter_ctc_layer {self.inter_ctc_layer} must lie in "
                 f"1..{self.encoder_layers - 1}")
-        if self.sampling_factor_lambda < 0:
-            raise ConfigError("sampling factor must be nonnegative")
+        if not (math.isfinite(self.sampling_factor_lambda)
+                and self.sampling_factor_lambda >= 0):
+            raise ConfigError(
+                f"sampling_factor_lambda must be finite and nonnegative, "
+                f"got {self.sampling_factor_lambda}")
         if self.decoder_layers < 1 or self.speaker_encoder_layers < 1:
             raise ConfigError("layer counts must be positive")
 
@@ -59,15 +61,6 @@ class ModelConfig:
         # reserved last vocab slot; meaningful in separator mode
         return self.vocab_size - 1
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["attn"] = AttentionConfig(**d["attn"])
-        return cls(**d)
-
 
 @dataclass
 class FrontHalf:
@@ -75,25 +68,20 @@ class FrontHalf:
     predictor, CIF and the speaker path."""
     h_asr: Tensor
     h_inter: Tensor
-    weights: WeightSequence    # unscaled predictor output for the MAE term
+    weights: Tensor            # alpha, unscaled, for the MAE term
     e_a: Tensor
     cosine: CosineScores
-    speaker_attention: SpeakerAttention
+    speaker_attention: Tensor  # beta, N x K rows summing to 1
     d_bar: Tensor              # weighted profiles, one row per token
 
 
 @dataclass
 class ForwardTrace:
-    h_asr: Tensor
-    h_inter: Tensor
-    e_a: Tensor
+    front: FrontHalf
     first_pass_logits: Tensor
     first_pass_tokens: list
     e_s: Tensor
     second_pass_logits: Tensor
-    cosine: CosineScores
-    speaker_attention: SpeakerAttention
-    weights: WeightSequence    # unscaled predictor output for the MAE term
     n_replaced: int
 
 
@@ -154,22 +142,6 @@ def glancing_sample(e_a: Tensor, y_true, y_first, token_embed: Embedding,
     return e_s, n_rep
 
 
-class FusedFirstDecoderLayer(Module):
-    """Cross-attention then feed-forward with plain residuals; the weighted
-    speaker profile (mapped back through the shared projection) is added to
-    the feed-forward input."""
-
-    def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
-        self.cross_mha = MultiHeadAttention(cfg, rng)
-        self.ff = FeedForward(cfg, rng)
-
-    def __call__(self, e: Tensor, mem: Tensor,
-                 fusion: Tensor | None = None) -> Tensor:
-        e1 = e + self.cross_mha(e, mem, mem)
-        ff_in = e1 + fusion if fusion is not None else e1
-        return e1 + self.ff(ff_in)
-
-
 class SaAsrModel(Module):
     """Speaker-attributed parallel-decoding recognizer.
 
@@ -199,7 +171,9 @@ class SaAsrModel(Module):
             rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), (d, cfg.d_spk)),
             requires_grad=True)
 
-        self.dec_first = FusedFirstDecoderLayer(cfg.attn, rng)
+        # the weighted speaker profile, mapped back through the shared
+        # projection, is added to the first block's feed-forward input
+        self.dec_first = CrossBlock(cfg.attn, rng)
         self.dec_layers = [DecoderLayer(cfg.attn, rng)
                            for _ in range(cfg.decoder_layers - 1)]
         self.out_proj = Linear(d, cfg.vocab_size, rng)
@@ -227,7 +201,7 @@ class SaAsrModel(Module):
         fusion = None
         if d_bar is not None and d_bar.data.shape[0] > 0:
             fusion = matmul(d_bar, transpose(self.w_spk))
-        e = self.dec_first(e, h_asr, fusion)
+        e = self.dec_first(e, h_asr, h_asr, fusion)
         for layer in self.dec_layers:
             e = layer(e, h_asr)
         return self.out_proj(e)
@@ -313,11 +287,9 @@ class SaAsrModel(Module):
             self.cfg.sampling_factor_lambda, sampler_seed)
         second_logits = self.asr_decode(e_s, f.h_asr, f.d_bar)
         return ForwardTrace(
-            h_asr=f.h_asr, h_inter=f.h_inter, e_a=f.e_a,
-            first_pass_logits=first_logits, first_pass_tokens=first_tokens,
-            e_s=e_s, second_pass_logits=second_logits, cosine=f.cosine,
-            speaker_attention=f.speaker_attention, weights=f.weights,
-            n_replaced=n_replaced)
+            front=f, first_pass_logits=first_logits,
+            first_pass_tokens=first_tokens, e_s=e_s,
+            second_pass_logits=second_logits, n_replaced=n_replaced)
 
     # -- inference -----------------------------------------------------------
 
@@ -358,7 +330,7 @@ class ArBaselineModel(Module):
         self.asr_layers = [EncoderLayer(cfg.attn, rng)
                            for _ in range(cfg.encoder_layers)]
         self.token_embed = Embedding(cfg.vocab_size + 2, d, rng)
-        self.dec_first = FusedFirstDecoderLayer(cfg.attn, rng)
+        self.dec_first = CrossBlock(cfg.attn, rng)
         self.dec_layers = [DecoderLayer(cfg.attn, rng)
                            for _ in range(cfg.decoder_layers - 1)]
         self.out_proj = Linear(d, cfg.vocab_size + 1, rng)
@@ -374,7 +346,7 @@ class ArBaselineModel(Module):
         e = self.token_embed(np.asarray(prefix_ids, dtype=np.intp))
         e = e + Tensor(positional_encoding(length, e.data.shape[1]))
         mask = causal_mask(length)
-        e = self.dec_first(e, h_asr)
+        e = self.dec_first(e, h_asr, h_asr)
         for layer in self.dec_layers:
             e = layer(e, h_asr, self_mask=mask)
         return self.out_proj(e)
@@ -415,10 +387,11 @@ class ArBaselineModel(Module):
 # -- checkpoint format -------------------------------------------------------
 
 def save_checkpoint(path, model, extra: dict | None = None):
-    """Flat named-parameter file: magic, JSON config header, then one
-    (name, shape, float64 payload) record per parameter."""
+    """Flat named-parameter file: magic, JSON header, then one (name, shape,
+    float64 payload) record per parameter. The header's ``config`` holds the
+    model config's flat key/value pairs, as config files write them."""
     kind = "ar" if isinstance(model, ArBaselineModel) else "nar"
-    header = {"kind": kind, "config": model.cfg.to_dict()}
+    header = {"kind": kind, "config": dict(config_pairs(model.cfg))}
     if model.cfg.use_cc_separator:
         header["separator_id"] = model.cfg.separator_id
     if extra:
@@ -448,13 +421,15 @@ def load_checkpoint(path):
         if magic != CHECKPOINT_MAGIC:
             raise ContractError(f"not a checkpoint file: bad magic {magic!r}")
         (hlen,) = read_u32s(fh, 1, "checkpoint header length")
+        blob = read_exact(fh, hlen, "checkpoint header")
         try:
-            header = json.loads(read_exact(fh, hlen, "checkpoint header")
-                                .decode("utf-8"))
-            cfg = ModelConfig.from_dict(header["config"])
+            header = json.loads(blob.decode("utf-8"))
+            cfg = config_from_pairs(ModelConfig, header["config"])
             kind = header["kind"]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
-                TypeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, ConfigError,
+                KeyError, TypeError, AttributeError) as exc:
+            # TypeError and AttributeError: a header or config that is not
+            # a JSON object
             raise ContractError(f"malformed checkpoint header: {exc}") from None
         model = ArBaselineModel(cfg) if kind == "ar" else SaAsrModel(cfg)
         by_name = {p.name: p.tensor for p in model.parameters()}

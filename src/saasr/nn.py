@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .tensor import (Tensor, gelu, getitem, graph_node, linear,
                      shifted_logits)
 
@@ -27,6 +27,11 @@ class AttentionConfig:
     ff_dim: int
 
     def __post_init__(self):
+        if min(self.model_dim, self.num_heads, self.ff_dim) < 1:
+            raise ConfigError(
+                f"attention dims must be positive: model_dim "
+                f"{self.model_dim}, num_heads {self.num_heads}, "
+                f"ff_dim {self.ff_dim}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by "
@@ -200,6 +205,26 @@ class FeedForward(Module):
                 f"feed_forward expects last dim {self.lin1.w.data.shape[0]}, "
                 f"got {x.data.shape}")
         return self.lin2(gelu(self.lin1(x)))
+
+
+class CrossBlock(Module):
+    """Cross-attention with a plain residual, then feed-forward with a plain
+    residual; ``fusion``, when given, is added to the feed-forward input.
+    Keys and values may come from different streams of one length."""
+
+    def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
+        self.cross_mha = MultiHeadAttention(cfg, rng)
+        self.ff = FeedForward(cfg, rng)
+
+    def __call__(self, q: Tensor, k: Tensor, v: Tensor,
+                 fusion: Tensor | None = None) -> Tensor:
+        if k.data.shape[0] != v.data.shape[0]:
+            raise ContractError(
+                f"cross-attention keys and values disagree in length: "
+                f"{k.data.shape[0]} vs {v.data.shape[0]}")
+        e = q + self.cross_mha(q, k, v)
+        ff_in = e if fusion is None else e + fusion
+        return e + self.ff(ff_in)
 
 
 class EncoderLayer(Module):

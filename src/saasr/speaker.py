@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .nn import (AttentionConfig, DecoderLayer, FeedForward, Module,
-                 MultiHeadAttention)
+from .nn import AttentionConfig, CrossBlock, DecoderLayer, Module
 from .tensor import (Tensor, clip_min, concat, getitem, matmul, softmax,
                      sqrt, tsum)
 
@@ -80,33 +79,13 @@ class CosineScores:
         return self.b.data.shape[1]
 
 
-@dataclass
-class SpeakerAttention:
-    beta: Tensor  # N x K rows summing to 1
-
-
-class SpeakerDecoderLayer1(Module):
-    """Cross-attention with split sources (query: token embeddings,
-    key: recognition frames, value: speaker frames), plain residuals."""
-
-    def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
-        self.mha = MultiHeadAttention(cfg, rng)
-        self.ff = FeedForward(cfg, rng)
-
-    def __call__(self, e_a: Tensor, h_asr: Tensor, h_spk: Tensor) -> Tensor:
-        if h_asr.data.shape[0] != h_spk.data.shape[0]:
-            raise ContractError(
-                f"encoder streams disagree in length: "
-                f"{h_asr.data.shape[0]} vs {h_spk.data.shape[0]}")
-        e = e_a + self.mha(e_a, h_asr, h_spk)
-        return e + self.ff(e)
-
-
 class SpeakerDecoder(Module):
-    """Two layers producing one speaker representation per token."""
+    """Two layers producing one speaker representation per token. The first
+    attends with split sources (query: token embeddings, key: recognition
+    frames, value: speaker frames)."""
 
     def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
-        self.layer1 = SpeakerDecoderLayer1(cfg, rng)
+        self.layer1 = CrossBlock(cfg, rng)
         self.layer2 = DecoderLayer(cfg, rng)
 
     def __call__(self, e_a: Tensor, h_asr: Tensor, h_spk: Tensor) -> Tensor:
@@ -133,20 +112,21 @@ def cosine_scores(q: Tensor, inv: SpeakerInventory) -> CosineScores:
     return CosineScores(b=b)
 
 
-def attention_weights(scores: CosineScores) -> SpeakerAttention:
-    """Row-wise softmax over the profile axis."""
-    return SpeakerAttention(beta=softmax(scores.b, axis=1))
+def attention_weights(scores: CosineScores) -> Tensor:
+    """The speaker attention beta (N x K): a row-wise softmax over the
+    profile axis."""
+    return softmax(scores.b, axis=1)
 
 
-def weighted_profile(att: SpeakerAttention, inv: SpeakerInventory) -> Tensor:
+def weighted_profile(beta: Tensor, inv: SpeakerInventory) -> Tensor:
     """Attention-weighted combination of the inventory profiles. Columns
     beyond the inventory (filled-in slots) carry no profile and drop out."""
-    width = att.beta.data.shape[1]
+    width = beta.data.shape[1]
     if width < inv.size:
         raise ContractError(
             f"attention width {width} smaller than inventory {inv.size}")
-    beta = att.beta if width == inv.size else getitem(
-        att.beta, (slice(None), slice(0, inv.size)))
+    if width > inv.size:
+        beta = getitem(beta, (slice(None), slice(0, inv.size)))
     return matmul(beta, Tensor(inv.matrix()))
 
 
@@ -191,11 +171,11 @@ def add_interfering(inv: SpeakerInventory, pool, m: int,
     return SpeakerInventory(list(inv.profiles) + extra, inv.true_count)
 
 
-def assign_speakers(att: SpeakerAttention, inv: SpeakerInventory) -> list:
+def assign_speakers(beta: Tensor, inv: SpeakerInventory) -> list:
     """Per-token argmax over the attention weights; ties resolve to the
     lowest inventory index."""
-    beta = att.beta.data[:, :inv.size]
-    if beta.shape[0] == 0:
+    rows = beta.data[:, :inv.size]
+    if rows.shape[0] == 0:
         return []
-    idx = np.argmax(beta, axis=1)
+    idx = np.argmax(rows, axis=1)
     return [inv.profiles[i].id for i in idx]

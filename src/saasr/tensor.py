@@ -42,20 +42,8 @@ class Tensor:
         self._parents = ()
         self._vjp = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Stop-gradient barrier: same values, cut out of the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self):
         self.grad = None
@@ -116,15 +104,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -387,13 +366,6 @@ class GradCheckReport:
     @property
     def worst(self) -> float:
         return max(self.errors.values(), default=0.0)
-
-    def __str__(self):
-        lines = [f"grad check (tol {self.tolerance:g}): "
-                 f"{'PASS' if self.passed else 'FAIL'}"]
-        for name, err in sorted(self.errors.items(), key=lambda kv: -kv[1]):
-            lines.append(f"  {err:12.3e}  {name}")
-        return "\n".join(lines)
 
 
 def grad_check(function, parameters, step: float = 1e-5,

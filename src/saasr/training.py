@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .cif import mae_loss
-from .data import Dataset, dataset_hash
+from .data import Dataset, config_pairs, dataset_hash
 from .errors import ConfigError, ContractError
 from .losses import (CTC_INFEASIBLE_PENALTY, LossWeights, ce_loss,
                      composite_loss, ctc_is_infeasible, ctc_loss,
@@ -41,8 +41,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.warmup_steps < 1:
             raise ConfigError("epochs, batch_size and warmup_steps must be positive")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and nonnegative, "
+                              f"got {self.learning_rate}")
         if self.interfering_m < 0:
             raise ConfigError("interfering_m must be nonnegative")
         if self.seed < 0:
@@ -91,7 +92,7 @@ class Adam:
 
 @dataclass
 class RunManifest:
-    config: dict
+    config: dict               # the TrainConfig's flat key/value pairs
     data_hash: str
     epoch_log: list = field(default_factory=list)
     final_metrics: dict = field(default_factory=dict)
@@ -156,12 +157,12 @@ def session_losses(model: SaAsrModel, item: SessionBatchItem,
         item.features, item.target_tokens, item.speaker_indices,
         item.inventory, sampler_seed=item.sampler_seed, fill_to=fill_to,
         fill_seed=item.fill_seed, first_tokens_override=first_tokens_override)
-    n_tokens = len(item.target_tokens)
-    mae = mae_loss(trace.weights, n_tokens)
+    f = trace.front
+    mae = mae_loss(f.weights, len(item.target_tokens))
     infeasible = 0
     ctc_terms = []
-    for head, frames in ((model.ctc_head, trace.h_asr),
-                         (model.inter_ctc_head, trace.h_inter)):
+    for head, frames in ((model.ctc_head, f.h_asr),
+                         (model.inter_ctc_head, f.h_inter)):
         term = ctc_loss(head(frames), item.target_tokens)
         if ctc_is_infeasible(term):
             term = Tensor(CTC_INFEASIBLE_PENALTY)
@@ -169,7 +170,7 @@ def session_losses(model: SaAsrModel, item: SessionBatchItem,
         ctc_terms.append(term)
     ctc, inter = ctc_terms
     ce = ce_loss(trace.second_pass_logits, item.target_tokens)
-    spk = speaker_loss(trace.cosine, item.speaker_indices)
+    spk = speaker_loss(f.cosine, item.speaker_indices)
     if speaker_weight != 1.0:
         spk = spk * speaker_weight
     return composite_loss(mae=mae, ctc=ctc, inter_ctc=inter, ce=ce,
@@ -208,12 +209,8 @@ def train(cfg: TrainConfig, dataset: Dataset,
         # sees at least one disturbance column
         fill_to = max(it.inventory.size for it in items) + 1
 
-    manifest = RunManifest(
-        config={"train": {k: v for k, v in vars(cfg).items()
-                          if k not in ("model", "loss")},
-                "model": cfg.model.to_dict(),
-                "loss": vars(cfg.loss)},
-        data_hash=dataset_hash(dataset))
+    manifest = RunManifest(config=dict(config_pairs(cfg)),
+                           data_hash=dataset_hash(dataset))
 
     order_rng = np.random.default_rng(cfg.seed)
     best_total = math.inf

@@ -1,7 +1,35 @@
 """Shared pytest wiring: surface acceptance-criterion results in the
-terminal summary, where output capture cannot swallow them."""
+terminal summary, where output capture cannot swallow them; and a writer of
+the previous checkpoint format."""
+
+import json
+import struct
+from dataclasses import asdict
 
 CRITERION_RESULTS = []
+
+
+def write_sapf1_checkpoint(path, model):
+    """Write ``model`` in the previous checkpoint format, SAPF1: its header
+    held the config as nested dicts, and the speaker decoder's first
+    cross-attention was named ``layer1.mha``."""
+    header = json.dumps({"kind": "nar", "config": asdict(model.cfg)},
+                        sort_keys=True).encode("utf-8")
+    params = model.parameters()
+    with open(path, "wb") as fh:
+        fh.write(b"SAPF1\n")
+        fh.write(struct.pack("<I", len(header)))
+        fh.write(header)
+        fh.write(struct.pack("<I", len(params)))
+        for p in params:
+            name = p.name.replace("layer1.cross_mha.", "layer1.mha.")
+            name = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(name)))
+            fh.write(name)
+            shape = p.tensor.data.shape
+            fh.write(struct.pack("<I", len(shape)))
+            fh.write(struct.pack(f"<{len(shape)}I", *shape))
+            fh.write(p.tensor.data.astype("<f8").tobytes())
 
 
 def record_criterion(criterion: int, passed: bool, detail: str):

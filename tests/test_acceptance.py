@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from saasr.bench import bench_rtf
-from saasr.cif import WeightSequence, integrate_and_fire, scale_weights
+from saasr.cif import integrate_and_fire, scale_weights
 from saasr.data import Dataset, SynthSpec, generate_dataset
 from saasr.diagnostics import run_gradient_suite
 from saasr.losses import LossWeights, ctc_is_infeasible, ctc_loss
@@ -122,7 +122,7 @@ def test_criterion_3_cif_exactness():
         t_len = int(rng.integers(1, 60))
         alpha = rng.uniform(0, 1, t_len)
         plan = integrate_and_fire(Tensor(np.ones((t_len, 1))),
-                                  WeightSequence(Tensor(alpha)), beta=1.0)
+                                  Tensor(alpha), beta=1.0)
         tokens, firings, residue = sequential_cif_oracle(alpha, 1.0)
         assert plan.firings == firings
         assert plan.residue == residue
@@ -135,7 +135,7 @@ def test_criterion_3_cif_exactness():
             assert np.max(np.abs(plan.frame_weights.data.sum(axis=1) - 1.0)) \
                 < 1e-9
         target = int(rng.integers(1, max(2, t_len)))
-        scaled = scale_weights(WeightSequence(Tensor(alpha)), target)
+        scaled = scale_weights(Tensor(alpha), target)
         plan2 = integrate_and_fire(Tensor(np.ones((t_len, 1))), scaled,
                                    beta=1.0)
         scale_hits += int(plan2.num_fired == target)
@@ -157,13 +157,13 @@ def test_criterion_4_speaker_attribution_sanity():
     att = attention_weights(cosine_scores(q, inv))
     hits = sum(a == f"spk{j}" for a, j in zip(assign_speakers(att, inv),
                                               planted))
-    row_err = np.max(np.abs(att.beta.data.sum(axis=1) - 1.0))
+    row_err = np.max(np.abs(att.data.sum(axis=1) - 1.0))
     for batch in range(20):
         b = Tensor(np.random.default_rng(batch).uniform(-1, 1, (30, 5)))
         from saasr.speaker import CosineScores
         att_b = attention_weights(CosineScores(b=b))
         row_err = max(row_err,
-                      np.max(np.abs(att_b.beta.data.sum(axis=1) - 1.0)))
+                      np.max(np.abs(att_b.data.sum(axis=1) - 1.0)))
     fill_ok = True
     for seed in range(300):
         from saasr.speaker import CosineScores

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from saasr.cif import (WeightPredictor, WeightSequence, integrate_and_fire,
+from saasr.cif import (WeightPredictor, integrate_and_fire,
                        mae_loss, scale_weights)
 from saasr.errors import ContractError, ShapeError
 from saasr.nn import Parameter
@@ -46,15 +46,15 @@ def test_predictor_zero_parameters_gives_half():
     pred = WeightPredictor(6, np.random.default_rng(0))
     pred.proj.w.data[:] = 0.0
     w = pred(Tensor(np.random.default_rng(1).uniform(-1, 1, (5, 6))))
-    assert np.allclose(w.alpha.data, 0.5, atol=1e-15)
+    assert np.allclose(w.data, 0.5, atol=1e-15)
 
 
 @pytest.mark.parametrize("t_len", [1, 7, 100])
 def test_predictor_output_length(t_len):
     pred = WeightPredictor(4, np.random.default_rng(2))
     w = pred(Tensor(np.random.default_rng(3).uniform(-1, 1, (t_len, 4))))
-    assert w.alpha.data.shape == (t_len,)
-    assert np.all((w.alpha.data >= 0) & (w.alpha.data <= 1))
+    assert w.data.shape == (t_len,)
+    assert np.all((w.data >= 0) & (w.data <= 1))
 
 
 def test_predictor_gradient():
@@ -64,7 +64,7 @@ def test_predictor_gradient():
 
     def loss():
         w = pred(h)
-        return tsum(w.alpha * w.alpha)
+        return tsum(w * w)
 
     report = grad_check(loss, pred.named_parameters("pred") + [Parameter("h", h)],
                         tolerance=1e-5)
@@ -75,7 +75,7 @@ def test_predictor_gradient():
 
 def test_fire_spec_sequence():
     h = Tensor(np.eye(4))
-    plan = integrate_and_fire(h, WeightSequence(Tensor([0.6, 0.5, 0.9, 1.0])),
+    plan = integrate_and_fire(h, Tensor([0.6, 0.5, 0.9, 1.0]),
                               beta=1.0)
     assert plan.firings == [1, 2, 3]
     assert plan.residue == 0.0
@@ -89,7 +89,7 @@ def test_fire_spec_sequence():
 
 def test_fire_all_zero_weights():
     plan = integrate_and_fire(Tensor(np.ones((3, 2))),
-                              WeightSequence(Tensor([0.0, 0.0, 0.0])))
+                              Tensor([0.0, 0.0, 0.0]))
     assert plan.num_fired == 0
     assert plan.embeddings.data.shape == (0, 2)
     assert plan.residue == 0.0
@@ -97,7 +97,7 @@ def test_fire_all_zero_weights():
 
 def test_fire_single_full_frame():
     h = Tensor([[2.0, -1.0]])
-    plan = integrate_and_fire(h, WeightSequence(Tensor([1.0])), beta=1.0)
+    plan = integrate_and_fire(h, Tensor([1.0]), beta=1.0)
     assert plan.firings == [0]
     assert np.array_equal(plan.embeddings.data, h.data)
 
@@ -108,7 +108,7 @@ def test_fire_matches_oracle_on_random_sequences():
         t_len = int(rng.integers(1, 40))
         alpha = rng.uniform(0, 1, t_len)
         plan = integrate_and_fire(Tensor(np.ones((t_len, 1))),
-                                  WeightSequence(Tensor(alpha)), beta=1.0)
+                                  Tensor(alpha), beta=1.0)
         tokens, firings, residue = cif_oracle(alpha, 1.0)
         assert plan.firings == firings
         assert plan.residue == residue
@@ -122,7 +122,7 @@ def test_fire_conserves_weight_and_row_sums():
         t_len = int(rng.integers(1, 30))
         alpha = rng.uniform(0, 1, t_len)
         plan = integrate_and_fire(Tensor(np.ones((t_len, 2))),
-                                  WeightSequence(Tensor(alpha)), beta=1.0)
+                                  Tensor(alpha), beta=1.0)
         w = plan.frame_weights.data
         assert np.all(w >= 0)
         if plan.num_fired:
@@ -140,7 +140,7 @@ def test_fire_gradient_through_weights_and_frames():
     probe = rng.uniform(-1, 1, (int(np.floor(alpha0.sum())), 3))
 
     def loss():
-        plan = integrate_and_fire(h, WeightSequence(alpha), beta=1.0)
+        plan = integrate_and_fire(h, alpha, beta=1.0)
         return tsum(plan.embeddings * Tensor(probe))
 
     report = grad_check(loss, [Parameter("alpha", alpha), Parameter("h", h)],
@@ -151,21 +151,21 @@ def test_fire_gradient_through_weights_and_frames():
 def test_fire_length_mismatch():
     with pytest.raises(ShapeError):
         integrate_and_fire(Tensor(np.ones((3, 2))),
-                           WeightSequence(Tensor([0.5, 0.5])))
+                           Tensor([0.5, 0.5]))
 
 
 # -- scaling -------------------------------------------------------------------
 
 def test_scale_weights_hits_target_sum():
-    w = WeightSequence(Tensor([1.0, 1.0, 1.0, 1.2]))  # sums to 4.2
+    w = Tensor([1.0, 1.0, 1.0, 1.2])  # sums to 4.2
     scaled = scale_weights(w, 5)
-    assert abs(scaled.alpha.data.sum() - 5.0) < 1e-9
+    assert abs(scaled.data.sum() - 5.0) < 1e-9
 
 
 def test_scale_weights_integral_sum_unchanged():
-    w = WeightSequence(Tensor([0.5, 0.5, 1.0, 1.0]))  # sums to 3.0
+    w = Tensor([0.5, 0.5, 1.0, 1.0])  # sums to 3.0
     scaled = scale_weights(w, 3)
-    assert np.allclose(scaled.alpha.data, w.alpha.data, atol=1e-11)
+    assert np.allclose(scaled.data, w.data, atol=1e-11)
 
 
 def test_scale_weights_firing_count_equals_target():
@@ -174,32 +174,32 @@ def test_scale_weights_firing_count_equals_target():
         t_len = int(rng.integers(2, 50))
         alpha = rng.uniform(0.01, 1, t_len)
         target = int(rng.integers(1, max(2, t_len)))
-        scaled = scale_weights(WeightSequence(Tensor(alpha)), target)
+        scaled = scale_weights(Tensor(alpha), target)
         plan = integrate_and_fire(Tensor(np.ones((t_len, 1))), scaled, beta=1.0)
         assert plan.num_fired == target
 
 
 def test_scale_weights_degenerate():
     with pytest.raises(ContractError, match="degenerate"):
-        scale_weights(WeightSequence(Tensor([0.0, 0.0])), 2)
+        scale_weights(Tensor([0.0, 0.0]), 2)
 
 
 # -- quantity loss ----------------------------------------------------------------
 
 def test_mae_loss_value():
-    w = WeightSequence(Tensor([1.0, 1.0, 1.0, 1.2]))
+    w = Tensor([1.0, 1.0, 1.0, 1.2])
     assert abs(mae_loss(w, 5).item() - 0.8) < 1e-12
 
 
 def test_mae_loss_zero_at_match():
-    w = WeightSequence(Tensor([2.0, 3.0]))
+    w = Tensor([2.0, 3.0])
     assert mae_loss(w, 5).item() == 0.0
 
 
 def test_mae_loss_gradient_is_signed_unit():
     alpha = Tensor([1.0, 1.0, 1.2], requires_grad=True)  # sum 3.2 < 5
-    mae_loss(WeightSequence(alpha), 5).backward()
+    mae_loss(alpha, 5).backward()
     assert np.allclose(alpha.grad, -1.0)
     alpha2 = Tensor([3.0, 3.0], requires_grad=True)  # sum 6 > 5
-    mae_loss(WeightSequence(alpha2), 5).backward()
+    mae_loss(alpha2, 5).backward()
     assert np.allclose(alpha2.grad, 1.0)

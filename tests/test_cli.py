@@ -4,6 +4,7 @@ import json
 from dataclasses import fields, is_dataclass
 
 import pytest
+from conftest import write_sapf1_checkpoint
 
 from saasr.cli import main, train_config_from_pairs
 from saasr.data import SynthSpec, parse_flat_config
@@ -196,6 +197,20 @@ def test_missing_input_exits_one(workspace, capsys, argv):
     paths = {"missing": str(workspace / "absent"), "out": str(workspace / "o")}
     assert main([a.format(**paths) for a in argv]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_previous_checkpoint_format_exits_one(workspace, capsys):
+    from saasr.model import SaAsrModel
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    ckpt = workspace / "old.ckpt"
+    write_sapf1_checkpoint(ckpt, SaAsrModel(_small_model_config()))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(data_dir)]) == 1
+    assert "error: not a checkpoint file: bad magic b'SAPF1" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lengths", ["0", "4,-2", "4,x"])
@@ -394,3 +409,30 @@ def test_negative_seed_exits_one(workspace, capsys, command, line, flags):
                  "--config", str(workspace / "seed.cfg"), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: seed must be nonnegative")
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("train", "model.attn.num_heads = 0", "attention dims must be positive"),
+    ("train", "model.attn.model_dim = -4", "attention dims must be positive"),
+    ("train", "model.attn.ff_dim = 0", "attention dims must be positive"),
+    ("train", "model.sampling_factor_lambda = nan",
+     "sampling_factor_lambda must be finite and nonnegative"),
+    ("train", "learning_rate = nan",
+     "learning_rate must be finite and nonnegative"),
+    ("train", "loss.lambda1 = nan", "lambda1 must be finite and nonnegative"),
+    ("gen-data", "bigram_concentration = nan",
+     "bigram_concentration must be finite and positive"),
+    ("gen-data", "noise_std = nan", "noise_std must be finite and nonnegative"),
+    ("gen-data", "noise_std = inf", "noise_std must be finite and nonnegative"),
+])
+def test_out_of_range_config_value_exits_one(workspace, capsys, command,
+                                             line, message):
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    (workspace / "bad.cfg").write_text(line + "\n")
+    capsys.readouterr()
+    inputs = ([] if command == "gen-data" else ["--data", str(data_dir)])
+    assert main([command, *inputs, "--out", str(workspace / "out"),
+                 "--config", str(workspace / "bad.cfg")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")

@@ -1,11 +1,17 @@
 """Model assembly: contracts, barriers, counters, sampler, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from conftest import write_sapf1_checkpoint
 
 from saasr.errors import ConfigError, ContractError
-from saasr.model import (ArBaselineModel, ModelConfig, SaAsrModel,
-                         glancing_sample, load_checkpoint, save_checkpoint)
+from saasr.data import config_from_pairs, config_pairs
+from saasr.model import (CHECKPOINT_MAGIC, ArBaselineModel, ModelConfig,
+                         SaAsrModel, glancing_sample, load_checkpoint,
+                         save_checkpoint)
 from saasr.nn import AttentionConfig
 from saasr.speaker import SpeakerInventory, SpeakerProfile
 from saasr.tensor import Tensor, matmul, transpose, tsum
@@ -47,7 +53,7 @@ def test_config_rejects_negative_sampling_factor():
 
 def test_config_round_trips_through_dict():
     cfg = tiny_cfg(use_cc_separator=True, sampling_factor_lambda=0.9)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert config_from_pairs(ModelConfig, dict(config_pairs(cfg))) == cfg
 
 
 # -- encoders -----------------------------------------------------------------
@@ -139,7 +145,7 @@ def test_profile_perturbation_is_local_without_self_attention():
     # the fused first layer has no self-attention: positions stay apart
     def first_layer(profiles):
         fusion = matmul(Tensor(profiles), transpose(model.w_spk))
-        return model.dec_first(e, h, fusion)
+        return model.dec_first(e, h, h, fusion)
 
     diff = np.abs(first_layer(bumped).data
                   - first_layer(d_bar).data).sum(axis=1)
@@ -247,7 +253,7 @@ def test_two_pass_teacher_forcing_row_count():
     for n_tokens in (1, 4, 9):
         model, x, y, spk, inv = two_pass_fixture(n_tokens=n_tokens, t_len=14)
         trace = model.two_pass_train_forward(x, y, spk, inv, sampler_seed=0)
-        assert trace.e_a.data.shape[0] == n_tokens
+        assert trace.front.e_a.data.shape[0] == n_tokens
         assert trace.second_pass_logits.data.shape == (n_tokens, 11)
 
 
@@ -279,17 +285,17 @@ def test_two_pass_lambda_zero_feeds_pure_acoustic_embeddings():
     y = list(rng.integers(0, cfg.vocab_size, size=4))
     trace = model.two_pass_train_forward(x, y, [0, 1, 0, 1], inv, sampler_seed=3)
     assert trace.n_replaced == 0
-    assert trace.e_s is trace.e_a
+    assert trace.e_s is trace.front.e_a
 
 
 def test_two_pass_with_filling_keeps_targets_genuine():
     model, x, y, spk, inv = two_pass_fixture()
     trace = model.two_pass_train_forward(x, y, spk, inv, sampler_seed=4,
                                          fill_to=6, fill_seed=9)
-    assert trace.cosine.b.data.shape[1] == 6
-    assert trace.cosine.fill_mask[:, inv.size:].all()
-    assert trace.speaker_attention.beta.data.shape[1] == 6
-    sums = trace.speaker_attention.beta.data.sum(axis=1)
+    assert trace.front.cosine.b.data.shape[1] == 6
+    assert trace.front.cosine.fill_mask[:, inv.size:].all()
+    assert trace.front.speaker_attention.data.shape[1] == 6
+    sums = trace.front.speaker_attention.data.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
 
 
@@ -409,4 +415,50 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
     with pytest.raises(ContractError, match="magic"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_holds_config_pairs(tmp_path):
+    cfg = tiny_cfg(sampling_factor_lambda=0.7)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, SaAsrModel(cfg, seed=29))
+    _, header = load_checkpoint(path)
+    assert header["config"] == dict(config_pairs(cfg))
+
+
+def _rewrite_header_config(path, edit):
+    """Apply ``edit`` to the JSON header's config of a saved checkpoint."""
+    blob = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 4
+    (hlen,) = struct.unpack("<I", blob[start - 4:start])
+    header = json.loads(blob[start:start + hlen])
+    header["config"] = edit(header["config"])
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(new)) + new
+                     + blob[start + hlen:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: {**c, "attn.num_heads": "x"},
+    lambda c: {**c, "attn.num_heads": "0"},
+    lambda c: {**c, "vocab_size": "1"},
+    lambda c: {**c, "bogus": "1"},
+    lambda c: {k: v for k, v in c.items() if k != "vocab_size"},
+    lambda c: {**c, "use_cc_separator": 1},
+    lambda c: {**c, "vocab_size": 12.7},
+    lambda c: list(c.items()),
+], ids=["unreadable", "zero-heads", "small-vocab", "unknown-key",
+        "missing-key", "non-string", "json-float", "not-a-dict"])
+def test_checkpoint_rejects_malformed_header_config(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, SaAsrModel(tiny_cfg(), seed=30))
+    _rewrite_header_config(path, edit)
+    with pytest.raises(ContractError, match="malformed checkpoint header"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_previous_format(tmp_path):
+    path = tmp_path / "old.ckpt"
+    write_sapf1_checkpoint(path, SaAsrModel(tiny_cfg(), seed=31))
+    with pytest.raises(ContractError, match="bad magic b'SAPF1"):
         load_checkpoint(path)

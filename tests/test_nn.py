@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from saasr.errors import ConfigError, ShapeError
-from saasr.nn import (AttentionConfig, EncoderLayer, FeedForward, LayerNorm,
-                      Linear, Module, MultiHeadAttention, causal_mask,
-                      layer_norm, positional_encoding)
+from saasr.nn import (AttentionConfig, CrossBlock, EncoderLayer, FeedForward,
+                      LayerNorm, Linear, Module, MultiHeadAttention,
+                      causal_mask, layer_norm, positional_encoding)
 from saasr.tensor import Tensor, grad_check, tsum
 
 
@@ -184,6 +184,37 @@ def test_encoder_layer_gradient():
 
     report = grad_check(loss, layer.named_parameters("enc"), tolerance=1e-5)
     assert report.passed, str(report)
+
+
+def test_cross_block_matches_fused_first_layer_composition():
+    block = CrossBlock(make_cfg(), np.random.default_rng(0))
+    assert [p.name for p in block.named_parameters()][:2] == [
+        "cross_mha.wq.w", "cross_mha.wq.b"]
+    assert [p.name for p in block.named_parameters()][-1] == "ff.lin2.b"
+    rng = np.random.default_rng(1)
+    e = Tensor(rng.uniform(-1, 1, (4, 8)), requires_grad=True)
+    h = Tensor(rng.uniform(-1, 1, (6, 8)))
+    fusion = Tensor(rng.uniform(-1, 1, (4, 8)))
+
+    def reference(fusion):
+        # the parallel decoder's first layer as it was written out before
+        # CrossBlock: cross-attention, then feed-forward with the fusion
+        # added to its input, plain residuals
+        e1 = e + block.cross_mha(e, h, h)
+        ff_in = e1 + fusion if fusion is not None else e1
+        return e1 + block.ff(ff_in)
+
+    for f in (fusion, None):
+        got, want = block(e, h, h, f), reference(f)
+        assert np.array_equal(got.data, want.data)
+        grads = []
+        for out in (got, want):
+            block.zero_grad()
+            e.zero_grad()
+            tsum(out * out).backward()
+            grads.append([e.grad.copy()] + [p.tensor.grad.copy()
+                                            for p in block.parameters()])
+        assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
 
 def test_parameter_names_unique_and_registered_once():

@@ -5,10 +5,10 @@ import pytest
 
 from saasr.errors import ContractError
 from saasr.nn import AttentionConfig, Parameter
-from saasr.speaker import (CosineScores, SpeakerAttention, SpeakerDecoder,
-                           SpeakerInventory, SpeakerProfile, add_interfering,
-                           assign_speakers, attention_weights, cosine_scores,
-                           fill_speakers, project_query, weighted_profile)
+from saasr.speaker import (CosineScores, SpeakerDecoder, SpeakerInventory,
+                           SpeakerProfile, add_interfering, assign_speakers,
+                           attention_weights, cosine_scores, fill_speakers,
+                           project_query, weighted_profile)
 from saasr.tensor import Tensor, grad_check, tsum
 
 
@@ -60,8 +60,9 @@ def test_layer1_single_frame_attention_collapses():
     # the attention term projects the single speaker frame whatever the query
     for seed in (1, 2):
         e_a = Tensor(np.random.default_rng(seed).uniform(-1, 1, (3, 4)))
-        att = dec.layer1.mha(e_a, h_asr, h_spk)
-        expected = dec.layer1.mha.wo(dec.layer1.mha.wv(h_spk)).data[0]
+        att = dec.layer1.cross_mha(e_a, h_asr, h_spk)
+        mha = dec.layer1.cross_mha
+        expected = mha.wo(mha.wv(h_spk)).data[0]
         for row in att.data:
             assert np.allclose(row, expected, atol=1e-12)
 
@@ -217,33 +218,33 @@ def test_cosine_scores_gradient():
 def test_attention_weights_uniform_for_equal_scores():
     scores = CosineScores(b=Tensor(np.full((3, 4), 0.2)))
     att = attention_weights(scores)
-    assert np.allclose(att.beta.data, 0.25, atol=1e-12)
+    assert np.allclose(att.data, 0.25, atol=1e-12)
 
 
 def test_attention_weights_singleton_is_one():
     att = attention_weights(CosineScores(b=Tensor([[0.37]])))
-    assert att.beta.data[0, 0] == 1.0
+    assert att.data[0, 0] == 1.0
 
 
 def test_attention_weights_match_extended_precision_oracle():
     expected = [0.5611042381161665, 0.2521203860745199, 0.1867753758093136]
     att = attention_weights(CosineScores(b=Tensor([[0.9, 0.1, -0.2]])))
-    assert np.allclose(att.beta.data[0], expected, atol=1e-12)
+    assert np.allclose(att.data[0], expected, atol=1e-12)
 
 
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(11)
     att = attention_weights(CosineScores(b=Tensor(rng.uniform(-1, 1, (20, 5)))))
-    sums = att.beta.data.sum(axis=1)
+    sums = att.data.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
-    assert np.all(att.beta.data > 0) and np.all(att.beta.data < 1)
+    assert np.all(att.data > 0) and np.all(att.data < 1)
 
 
 # -- weighted profile ------------------------------------------------------------
 
 def test_weighted_profile_one_hot_selects_profile():
     inv = orthonormal_inventory(3, 4)
-    att = SpeakerAttention(beta=Tensor([[0.0, 1.0, 0.0]]))
+    att = Tensor([[0.0, 1.0, 0.0]])
     out = weighted_profile(att, inv)
     assert np.array_equal(out.data[0], inv.profiles[1].vector)
 
@@ -251,7 +252,7 @@ def test_weighted_profile_one_hot_selects_profile():
 def test_weighted_profile_antipodal_cancel():
     v = np.array([1.0, 0.0, 0.0])
     inv = SpeakerInventory([SpeakerProfile("a", v), SpeakerProfile("b", -v)], 2)
-    att = SpeakerAttention(beta=Tensor([[0.5, 0.5]]))
+    att = Tensor([[0.5, 0.5]])
     out = weighted_profile(att, inv)
     assert np.allclose(out.data, 0.0, atol=1e-15)
 
@@ -260,7 +261,7 @@ def test_weighted_profile_matches_sum_oracle():
     rng = np.random.default_rng(12)
     inv = random_inventory(4, 3, rng)
     beta = rng.dirichlet(np.ones(4), size=2)
-    out = weighted_profile(SpeakerAttention(beta=Tensor(beta)), inv)
+    out = weighted_profile(Tensor(beta), inv)
     for n in range(2):
         expected = sum(beta[n, k] * inv.profiles[k].vector for k in range(4))
         assert np.max(np.abs(out.data[n] - expected)) < 1e-12
@@ -268,7 +269,7 @@ def test_weighted_profile_matches_sum_oracle():
 
 def test_weighted_profile_ignores_filled_columns():
     inv = orthonormal_inventory(2, 3)
-    att = SpeakerAttention(beta=Tensor([[0.5, 0.25, 0.25]]))  # one padded col
+    att = Tensor([[0.5, 0.25, 0.25]])  # one padded col
     out = weighted_profile(att, inv)
     expected = 0.5 * inv.profiles[0].vector + 0.25 * inv.profiles[1].vector
     assert np.allclose(out.data[0], expected, atol=1e-12)
@@ -369,13 +370,13 @@ def test_add_interfering_pool_exhausted():
 
 def test_assign_speakers_one_hot():
     inv = orthonormal_inventory(3, 3)
-    att = SpeakerAttention(beta=Tensor([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+    att = Tensor([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     assert assign_speakers(att, inv) == ["spk2", "spk0", "spk1"]
 
 
 def test_assign_speakers_tie_takes_lowest_index():
     inv = orthonormal_inventory(4, 4)
-    att = SpeakerAttention(beta=Tensor([[0.25, 0.25, 0.25, 0.25]]))
+    att = Tensor([[0.25, 0.25, 0.25, 0.25]])
     assert assign_speakers(att, inv) == ["spk0"]
 
 
@@ -383,9 +384,9 @@ def test_assign_speakers_invariant_under_monotone_transform():
     rng = np.random.default_rng(20)
     inv = orthonormal_inventory(4, 4)
     rows = rng.uniform(0.01, 1, (6, 4))
-    base = assign_speakers(SpeakerAttention(beta=Tensor(rows)), inv)
+    base = assign_speakers(Tensor(rows), inv)
     transformed = assign_speakers(
-        SpeakerAttention(beta=Tensor(np.exp(3 * rows) + 1)), inv)
+        Tensor(np.exp(3 * rows) + 1), inv)
     assert base == transformed
 
 

@@ -113,15 +113,6 @@ def test_backward_requires_scalar():
         (x * x).backward()
 
 
-def test_stop_gradient_barrier():
-    x = Tensor([2.0], requires_grad=True)
-    y = Tensor([3.0], requires_grad=True)
-    loss = tsum(y.detach() * x)
-    loss.backward()
-    assert np.allclose(x.grad, [3.0])
-    assert y.grad is None
-
-
 def test_gradient_accumulates_over_reuse():
     x = Tensor([1.5], requires_grad=True)
     loss = tsum(x * x + x)

@@ -3,11 +3,12 @@ divergence handling, staged initialization."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from saasr.data import SynthSpec, generate_dataset
+from saasr.data import SynthSpec, config_from_pairs, generate_dataset
 from saasr.errors import ConfigError, ContractError
 from saasr.losses import LossWeights, ce_loss, ctc_loss
 from saasr.model import ModelConfig, SaAsrModel, load_checkpoint
@@ -106,6 +107,18 @@ def test_manifest_contents(tmp_path):
     manifest.save(path)
     loaded = json.loads(path.read_text())
     assert loaded["data_hash"] == manifest.data_hash
+
+
+def test_manifest_config_reads_back(tmp_path):
+    ds = tiny_dataset()
+    cfg = tiny_train_cfg(ds, epochs=1, stage1_epochs=1,
+                         checkpoint_path=str(tmp_path / "model.ckpt"))
+    path = tmp_path / "manifest.json"
+    train(cfg, ds).save(path)
+    pairs = json.loads(path.read_text())["config"]
+    # the checkpoint path is left to the command line; it has no key
+    assert config_from_pairs(TrainConfig, pairs) == replace(
+        cfg, checkpoint_path=None)
 
 
 def test_train_rejects_mismatched_dims():
