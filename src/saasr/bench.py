@@ -4,12 +4,11 @@ autoregressive decoding at matched model sizes, bucketed by output length."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import RTFReport, rtf_report
 from .model import ArBaselineModel, SaAsrModel, load_checkpoint
 from .speaker import SpeakerInventory, SpeakerProfile
 from .tensor import Tensor
@@ -20,33 +19,42 @@ FRAMES_PER_OUTPUT = 3
 
 @dataclass
 class BenchRow:
+    """The timed repeats at one output length: the audio seconds of one
+    input, then each repeat's parallel and greedy decode seconds."""
     length: int
-    rtf_nar: float
-    rtf_ar: float
-    repeat_ratios: list = field(default_factory=list)  # AR/NAR per repeat
+    audio_s: float
+    nar_s: list
+    ar_s: list
+
+    @property
+    def rtf_nar(self) -> float:
+        return sum(self.nar_s) / (len(self.nar_s) * self.audio_s)
+
+    @property
+    def rtf_ar(self) -> float:
+        return sum(self.ar_s) / (len(self.ar_s) * self.audio_s)
 
     @property
     def ratio(self) -> float:
-        """Median of the per-repeat AR/NAR time ratios; the ratio of the
-        two RTFs when no repeats were recorded."""
-        if self.repeat_ratios:
-            return float(np.median(self.repeat_ratios))
-        return self.rtf_ar / self.rtf_nar
+        """Median of the per-repeat AR/NAR time ratios."""
+        return float(np.median([a / n for a, n in zip(self.ar_s, self.nar_s)]))
 
 
 @dataclass
 class BenchResult:
-    nar: RTFReport
-    ar: RTFReport
-    rows: list = field(default_factory=list)
+    rows: list
 
     def table(self) -> str:
         lines = [f"{'len':>5} {'rtf_nar':>10} {'rtf_ar':>10} {'ar/nar':>8}"]
         for row in self.rows:
             lines.append(f"{row.length:>5} {row.rtf_nar:>10.4f} "
                          f"{row.rtf_ar:>10.4f} {row.ratio:>8.2f}")
-        lines.append(f"total rtf: nar {self.nar.rtf:.4f}  ar {self.ar.rtf:.4f}  "
-                     f"ratio {self.ar.rtf / self.nar.rtf:.2f}")
+        # total decode seconds over total audio seconds, every repeat counted
+        audio = sum(len(r.nar_s) * r.audio_s for r in self.rows)
+        nar = sum(sum(r.nar_s) for r in self.rows) / audio
+        ar = sum(sum(r.ar_s) for r in self.rows) / audio
+        lines.append(f"total rtf: nar {nar:.4f}  ar {ar:.4f}  "
+                     f"ratio {ar / nar:.2f}")
         return "\n".join(lines)
 
 
@@ -105,7 +113,6 @@ def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0,
         true_count=2)
 
     rows = []
-    nar_breakdown, ar_breakdown = [], []
     for length in lengths:
         frames = FRAMES_PER_OUTPUT * length
         x = Tensor(rng.uniform(-1, 1, (frames, nar_model.cfg.feature_dim)))
@@ -119,17 +126,10 @@ def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0,
 
         nar()
         ar()
-        nar_sec, ar_sec = [], []
+        row = BenchRow(length=length, audio_s=frames * FRAME_SHIFT_MS / 1000.0,
+                       nar_s=[], ar_s=[])
         for _ in range(repeats):
-            nar_sec.append(_seconds(nar))
-            ar_sec.append(_seconds(ar))
-        audio = repeats * frames * FRAME_SHIFT_MS / 1000.0
-        rows.append(BenchRow(length=length, rtf_nar=sum(nar_sec) / audio,
-                             rtf_ar=sum(ar_sec) / audio,
-                             repeat_ratios=[a / n for a, n in
-                                            zip(ar_sec, nar_sec)]))
-        nar_breakdown.extend((frames, dt) for dt in nar_sec)
-        ar_breakdown.extend((frames, dt) for dt in ar_sec)
-
-    return BenchResult(nar=rtf_report(nar_breakdown, FRAME_SHIFT_MS),
-                       ar=rtf_report(ar_breakdown, FRAME_SHIFT_MS), rows=rows)
+            row.nar_s.append(_seconds(nar))
+            row.ar_s.append(_seconds(ar))
+        rows.append(row)
+    return BenchResult(rows)

@@ -12,6 +12,7 @@ from .data import (SynthSpec, config_from_pairs, generate_dataset,
                    parse_flat_config, read_dataset, write_dataset)
 from .diagnostics import run_gradient_suite
 from .errors import ConfigError, ContractError, ShapeError
+from .model import load_checkpoint
 from .training import TrainConfig, evaluate, train
 
 
@@ -103,7 +104,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     dataset = read_dataset(args.data)
-    report = evaluate(args.checkpoint, dataset)
+    model, _ = load_checkpoint(args.checkpoint)
+    report = evaluate(model, dataset)
     for line in report.session_lines:
         print(line)
     print(report.summary)

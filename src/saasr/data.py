@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -350,11 +351,13 @@ def write_dataset(directory, dataset: Dataset):
 def read_exact(fh, count: int, what: str) -> bytes:
     """Exactly ``count`` bytes of ``what`` from a binary file; a file that
     ends first raises ContractError."""
-    data = fh.read(count)
-    if len(data) != count:
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        # checked before reading, so a corrupt length field cannot ask
+        # for more memory than the file holds
         raise ContractError(
-            f"truncated {what}: needs {count} bytes, {len(data)} left")
-    return data
+            f"truncated {what}: needs {count} bytes, {left} left")
+    return fh.read(count)
 
 
 def read_u32s(fh, count: int, what: str) -> tuple:
@@ -366,16 +369,19 @@ def _parse_text(path: Path, parse):
     raises ContractError naming the file."""
     try:
         return parse(path.read_text().splitlines())
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, ContractError) as exc:
         raise ContractError(f"{path.name}: malformed ({exc})") from None
 
 
-def _parse_tokens(lines) -> list:
-    """One ``token speaker start end`` line per token."""
+def _parse_tokens(lines, vocab_size: int) -> list:
+    """One ``token speaker start end`` line per token. The last vocab slot
+    is the separator, never a spoken token."""
     tokens = []
     for line in lines:
         tok, speaker, start, end = line.split()
         tokens.append(TimedToken(int(tok), speaker, int(start), int(end)))
+        if not 0 <= tokens[-1].token < vocab_size - 1:
+            raise ValueError(f"token id {tok} outside 0..{vocab_size - 2}")
     return tokens
 
 
@@ -408,7 +414,8 @@ def read_dataset(directory) -> Dataset:
             values = read_exact(fh, 8 * t_len * dim, f"{sid}.feat values")
             features = np.frombuffer(values, dtype="<f8").reshape(
                 t_len, dim).copy()
-        tokens = _parse_text(directory / f"{sid}.tokens", _parse_tokens)
+        tokens = _parse_text(directory / f"{sid}.tokens",
+                             lambda lines: _parse_tokens(lines, spec.vocab_size))
         inventory = _parse_text(directory / f"{sid}.inv", _parse_inventory)
         sessions.append(Session(session_id=sid, features=features, tokens=tokens,
                                 inventory=inventory))

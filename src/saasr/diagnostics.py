@@ -11,8 +11,8 @@ from .losses import LossWeights, ce_loss, ctc_loss, speaker_loss
 from .nn import (AttentionConfig, EncoderLayer, FeedForward, LayerNorm,
                  MultiHeadAttention, Parameter, attention_core, causal_mask)
 from .model import ModelConfig, SaAsrModel
-from .speaker import (CosineScores, SpeakerDecoder, SpeakerInventory,
-                      SpeakerProfile, attention_weights, cosine_scores)
+from .speaker import (SpeakerDecoder, SpeakerInventory, SpeakerProfile,
+                      cosine_scores)
 from .tensor import (Tensor, grad_check, linear, log_softmax, matmul, softmax,
                      tsum)
 from .training import TrainConfig, prepare_batch_items, session_losses
@@ -100,8 +100,8 @@ def _block_checks(rng):
     qs = Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
     att_probe = Tensor(rng.uniform(-1, 1, (2, 3)))
     checks.append(("cosine_attention",
-                   lambda: tsum(attention_weights(
-                       cosine_scores(qs, inv)) * att_probe),
+                   lambda: tsum(softmax(cosine_scores(qs, inv), axis=1)
+                                * att_probe),
                    [Parameter("q", qs)]))
 
     spk_dec = SpeakerDecoder(AttentionConfig(4, 2, 6), rng)
@@ -122,7 +122,7 @@ def _block_checks(rng):
 
     b = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     checks.append(("speaker_loss",
-                   lambda: speaker_loss(CosineScores(b=b), [0, 2, 1]),
+                   lambda: speaker_loss(b, [0, 2, 1], 4),
                    [Parameter("b", b)]))
     return checks
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .speaker import CosineScores
 from .tensor import Tensor, getitem, graph_node, log_softmax, neg, tmean, tsum
 
 # infeasible CTC instances contribute this finite penalty during training
@@ -63,10 +62,6 @@ def ctc_min_frames(target) -> int:
     target = list(target)
     repeats = sum(1 for a, b in zip(target, target[1:]) if a == b)
     return len(target) + repeats
-
-
-def ctc_is_infeasible(loss: Tensor) -> bool:
-    return math.isinf(loss.item())
 
 
 def ctc_loss(frame_logits: Tensor, target) -> Tensor:
@@ -145,10 +140,12 @@ def ctc_loss(frame_logits: Tensor, target) -> Tensor:
     return graph_node(np.float64(-log_total), (frame_logits,), vjp)
 
 
-def speaker_loss(scores: CosineScores, true_indices) -> Tensor:
-    """Softmax cross-entropy over raw cosine scores, summed over tokens."""
+def speaker_loss(scores: Tensor, true_indices, profiles: int) -> Tensor:
+    """Softmax cross-entropy over raw cosine scores (N x K), summed over
+    tokens. The first ``profiles`` columns score real profiles; any after
+    them are filled in and never a target."""
     idx = np.asarray(true_indices, dtype=np.intp)
-    n, width = scores.b.data.shape
+    n, width = scores.data.shape
     if idx.shape[0] != n:
         raise ShapeError(
             f"speaker_loss length mismatch: {n} tokens vs {idx.shape[0]} targets")
@@ -156,9 +153,9 @@ def speaker_loss(scores: CosineScores, true_indices) -> Tensor:
         return Tensor(0.0)
     if np.any(idx < 0) or np.any(idx >= width):
         raise ContractError(f"speaker target index outside 0..{width - 1}")
-    if np.any(scores.fill_mask[np.arange(n), idx]):
+    if np.any(idx >= profiles):
         raise ContractError("speaker target points at a filled-in column")
-    lsm = log_softmax(scores.b, axis=1)
+    lsm = log_softmax(scores, axis=1)
     return neg(tsum(getitem(lsm, (np.arange(n), idx))))
 
 

@@ -1,13 +1,10 @@
 """Scoring: edit-distance alignment with insertion / deletion /
-substitution decomposition, speaker-dependent CER, and the real-time-factor
-report."""
+substitution decomposition and speaker-dependent CER."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-from .errors import ContractError
+from dataclasses import dataclass
 
 
 @dataclass
@@ -101,24 +98,3 @@ def sd_cer(refs: dict, hyps: dict) -> SDCERReport:
         (0.0 if total_errors == 0 else math.inf)
     return SDCERReport(per_speaker=per_speaker, total_errors=total_errors,
                        total_ref_len=total_ref, sd_cer=rate)
-
-
-@dataclass
-class RTFReport:
-    total_inference_seconds: float
-    total_audio_seconds: float
-    rtf: float
-    per_length_breakdown: list = field(default_factory=list)
-
-
-def rtf_report(breakdown, frame_shift_ms: float) -> RTFReport:
-    """Total decode time over the audio duration that the frame counts of
-    ``breakdown``, a list of (frame count, decode seconds) pairs, imply at
-    the given frame shift."""
-    seconds = sum(dt for _, dt in breakdown)
-    audio = sum(frames for frames, _ in breakdown) * frame_shift_ms / 1000.0
-    if audio <= 0:
-        raise ContractError("total audio duration is zero")
-    return RTFReport(total_inference_seconds=seconds,
-                     total_audio_seconds=audio, rtf=seconds / audio,
-                     per_length_breakdown=breakdown)

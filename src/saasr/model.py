@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -19,9 +21,8 @@ from .metrics import edit_align
 from .nn import (AttentionConfig, CrossBlock, DecoderLayer, Embedding,
                  EncoderLayer, Linear, Module, causal_mask,
                  positional_encoding)
-from .speaker import (CosineScores, SpeakerDecoder, SpeakerInventory,
-                      assign_speakers, attention_weights, cosine_scores,
-                      fill_speakers, project_query, weighted_profile)
+from .speaker import (SpeakerDecoder, SpeakerInventory, assign_speakers,
+                      cosine_scores, fill_speakers, weighted_profile)
 from .tensor import Tensor, matmul, no_grad, softmax, transpose
 
 CHECKPOINT_MAGIC = b"SAPF2\n"
@@ -70,7 +71,7 @@ class FrontHalf:
     h_inter: Tensor
     weights: Tensor            # alpha, unscaled, for the MAE term
     e_a: Tensor
-    cosine: CosineScores
+    cosine: Tensor             # N x K cosine scores, filled columns last
     speaker_attention: Tensor  # beta, N x K rows summing to 1
     d_bar: Tensor              # weighted profiles, one row per token
 
@@ -209,10 +210,9 @@ class SaAsrModel(Module):
     # -- speaker path -------------------------------------------------------
 
     def speaker_scores(self, e_a: Tensor, h_asr: Tensor, h_spk: Tensor,
-                       inv: SpeakerInventory) -> CosineScores:
+                       inv: SpeakerInventory) -> Tensor:
         e_spk = self.speaker_decoder(e_a, h_asr, h_spk)
-        q = project_query(e_spk, self.w_spk)
-        return cosine_scores(q, inv)
+        return cosine_scores(matmul(e_spk, self.w_spk), inv)
 
     # -- front half ----------------------------------------------------------
 
@@ -251,7 +251,7 @@ class SaAsrModel(Module):
         scores = self.speaker_scores(e_a, h_asr, h_spk, inv)
         if fill_to is not None:
             scores = fill_speakers(scores, fill_to, fill_seed)
-        att = attention_weights(scores)
+        att = softmax(scores, axis=1)
         return FrontHalf(h_asr=h_asr, h_inter=h_inter, weights=weights,
                          e_a=e_a, cosine=scores, speaker_attention=att,
                          d_bar=weighted_profile(att, inv))
@@ -389,7 +389,10 @@ class ArBaselineModel(Module):
 def save_checkpoint(path, model, extra: dict | None = None):
     """Flat named-parameter file: magic, JSON header, then one (name, shape,
     float64 payload) record per parameter. The header's ``config`` holds the
-    model config's flat key/value pairs, as config files write them."""
+    model config's flat key/value pairs, as config files write them.
+
+    The file is written beside ``path`` and then renamed over it, so an
+    interrupted save leaves the previous checkpoint whole."""
     kind = "ar" if isinstance(model, ArBaselineModel) else "nar"
     header = {"kind": kind, "config": dict(config_pairs(model.cfg))}
     if model.cfg.use_cc_separator:
@@ -397,20 +400,26 @@ def save_checkpoint(path, model, extra: dict | None = None):
     if extra:
         header["extra"] = extra
     params = model.parameters()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(params)))
-        for p in params:
-            name = p.name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name)))
-            fh.write(name)
-            shape = p.tensor.data.shape
-            fh.write(struct.pack("<I", len(shape)))
-            fh.write(struct.pack(f"<{len(shape)}I", *shape))
-            fh.write(p.tensor.data.astype("<f8").tobytes())
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            blob = json.dumps(header, sort_keys=True).encode("utf-8")
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<I", len(params)))
+            for p in params:
+                name = p.name.encode("utf-8")
+                fh.write(struct.pack("<I", len(name)))
+                fh.write(name)
+                shape = p.tensor.data.shape
+                fh.write(struct.pack("<I", len(shape)))
+                fh.write(struct.pack(f"<{len(shape)}I", *shape))
+                fh.write(p.tensor.data.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):
@@ -439,10 +448,14 @@ def load_checkpoint(path):
             (nlen,) = read_u32s(fh, 1, "checkpoint parameter name length")
             name = read_exact(fh, nlen, "checkpoint parameter name").decode(
                 "utf-8", "replace")
-            (ndim,) = read_u32s(fh, 1, f"checkpoint rank of {name!r}")
-            shape = read_u32s(fh, ndim, f"checkpoint shape of {name!r}")
             if name not in by_name:
                 raise ContractError(f"unknown parameter {name!r} in checkpoint")
+            (ndim,) = read_u32s(fh, 1, f"checkpoint rank of {name!r}")
+            if ndim != by_name[name].data.ndim:
+                raise ContractError(
+                    f"parameter {name!r} rank {ndim} does not match "
+                    f"model {by_name[name].data.ndim}")
+            shape = read_u32s(fh, ndim, f"checkpoint shape of {name!r}")
             if by_name[name].data.shape != shape:
                 raise ContractError(
                     f"parameter {name!r} shape {shape} does not match "

@@ -259,17 +259,34 @@ class DecoderLayer(Module):
         return self.ln2(x + self.ff(x))
 
 
+# one read-only position table per model dim and one causal mask, each grown
+# to the longest length asked for; every row is computed on its own, so a
+# slice equals a table built at that length
+_POSITIONS: dict = {}
+_CAUSAL = np.zeros((0, 0))
+
+
 def positional_encoding(length: int, dim: int) -> np.ndarray:
-    """Sinusoidal position table (length x dim)."""
-    pos = np.arange(length, dtype=np.float64)[:, None]
-    i = np.arange(dim, dtype=np.float64)[None, :]
-    angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
-    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return table
+    """Sinusoidal position table (length x dim), read-only."""
+    table = _POSITIONS.get(dim)
+    if table is None or table.shape[0] < length:
+        rows = length if table is None else max(length, 2 * table.shape[0])
+        pos = np.arange(rows, dtype=np.float64)[:, None]
+        i = np.arange(dim, dtype=np.float64)[None, :]
+        angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
+        table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+        table.flags.writeable = False
+        _POSITIONS[dim] = table
+    return table[:length]
 
 
 def causal_mask(length: int) -> np.ndarray:
-    """Additive mask blocking attention to future positions."""
-    mask = np.zeros((length, length))
-    mask[np.triu_indices(length, k=1)] = -1e9
-    return mask
+    """Additive mask blocking attention to future positions, read-only."""
+    global _CAUSAL
+    if _CAUSAL.shape[0] < length:
+        rows = max(length, 2 * _CAUSAL.shape[0])
+        mask = np.zeros((rows, rows))
+        mask[np.triu_indices(rows, k=1)] = -1e9
+        mask.flags.writeable = False
+        _CAUSAL = mask
+    return _CAUSAL[:length, :length]

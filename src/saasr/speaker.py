@@ -10,8 +10,7 @@ import numpy as np
 
 from .errors import ContractError
 from .nn import AttentionConfig, CrossBlock, DecoderLayer, Module
-from .tensor import (Tensor, clip_min, concat, getitem, matmul, softmax,
-                     sqrt, tsum)
+from .tensor import Tensor, clip_min, concat, getitem, matmul, sqrt, tsum
 
 NORM_EPS = 1e-8  # guards zero-norm queries in the cosine denominator
 
@@ -24,6 +23,8 @@ class SpeakerProfile:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=np.float64)
+        if not np.isfinite(v).all():
+            raise ContractError(f"profile {self.id!r} has non-finite values")
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise ContractError(f"profile {self.id!r} has zero norm")
@@ -64,21 +65,6 @@ class SpeakerInventory:
         raise ContractError(f"speaker {speaker_id!r} not in inventory")
 
 
-@dataclass
-class CosineScores:
-    """Per-token, per-profile cosine scores; filled entries are marked."""
-    b: Tensor                       # N x K
-    fill_mask: np.ndarray = None    # N x K booleans
-
-    def __post_init__(self):
-        if self.fill_mask is None:
-            self.fill_mask = np.zeros(self.b.data.shape, dtype=bool)
-
-    @property
-    def width(self) -> int:
-        return self.b.data.shape[1]
-
-
 class SpeakerDecoder(Module):
     """Two layers producing one speaker representation per token. The first
     attends with split sources (query: token embeddings, key: recognition
@@ -93,13 +79,8 @@ class SpeakerDecoder(Module):
         return self.layer2(e_as, h_spk)
 
 
-def project_query(e_spk: Tensor, w_spk: Tensor) -> Tensor:
-    """Map token speaker representations into the profile space."""
-    return matmul(e_spk, w_spk)
-
-
-def cosine_scores(q: Tensor, inv: SpeakerInventory) -> CosineScores:
-    """Cosine similarity of each token query against each profile.
+def cosine_scores(q: Tensor, inv: SpeakerInventory) -> Tensor:
+    """Cosine similarity of each token query against each profile (N x K).
 
     Zero-norm queries are guarded by flooring the denominator at a tiny
     epsilon; flooring (rather than adding) keeps the scores exactly
@@ -108,14 +89,7 @@ def cosine_scores(q: Tensor, inv: SpeakerInventory) -> CosineScores:
     d_mat = inv.matrix()
     d_norms = np.linalg.norm(d_mat, axis=1)
     q_norm = clip_min(sqrt(tsum(q * q, axis=1, keepdims=True)), NORM_EPS)
-    b = matmul(q, Tensor(d_mat.T / d_norms)) / q_norm
-    return CosineScores(b=b)
-
-
-def attention_weights(scores: CosineScores) -> Tensor:
-    """The speaker attention beta (N x K): a row-wise softmax over the
-    profile axis."""
-    return softmax(scores.b, axis=1)
+    return matmul(q, Tensor(d_mat.T / d_norms)) / q_norm
 
 
 def weighted_profile(beta: Tensor, inv: SpeakerInventory) -> Tensor:
@@ -130,24 +104,21 @@ def weighted_profile(beta: Tensor, inv: SpeakerInventory) -> Tensor:
     return matmul(beta, Tensor(inv.matrix()))
 
 
-def fill_speakers(scores: CosineScores, k_max: int, seed: int) -> CosineScores:
-    """Pad score rows to ``k_max`` columns with uniform[-0.5, 0.5] draws.
+def fill_speakers(scores: Tensor, k_max: int, seed: int) -> Tensor:
+    """Pad score rows to ``k_max`` columns with uniform[-0.5, 0.5] draws,
+    after the profile columns.
 
     The padding is a constant (no gradient) and is never a training target;
     it only disturbs the attention softmax.
     """
-    width = scores.width
+    n, width = scores.data.shape
     if k_max < width:
         raise ContractError(f"k_max {k_max} smaller than score width {width}")
     if k_max == width:
-        return CosineScores(b=scores.b, fill_mask=scores.fill_mask.copy())
-    n = scores.b.data.shape[0]
+        return scores
     rng = np.random.default_rng(seed)
     pad = rng.uniform(-0.5, 0.5, size=(n, k_max - width))
-    b = concat([scores.b, Tensor(pad)], axis=1)
-    mask = np.concatenate(
-        [scores.fill_mask, np.ones((n, k_max - width), dtype=bool)], axis=1)
-    return CosineScores(b=b, fill_mask=mask)
+    return concat([scores, Tensor(pad)], axis=1)
 
 
 def add_interfering(inv: SpeakerInventory, pool, m: int,

@@ -14,10 +14,9 @@ from .cif import mae_loss
 from .data import Dataset, config_pairs, dataset_hash
 from .errors import ConfigError, ContractError
 from .losses import (CTC_INFEASIBLE_PENALTY, LossWeights, ce_loss,
-                     composite_loss, ctc_is_infeasible, ctc_loss,
-                     speaker_loss)
+                     composite_loss, ctc_loss, speaker_loss)
 from .metrics import EditCounts, SDCERReport, edit_align, sd_cer
-from .model import (ModelConfig, SaAsrModel, load_checkpoint, save_checkpoint)
+from .model import ModelConfig, SaAsrModel, save_checkpoint
 from .speaker import add_interfering
 from .tensor import Tensor, no_grad
 from .tsot import deserialize, serialize, strip_separators
@@ -164,13 +163,13 @@ def session_losses(model: SaAsrModel, item: SessionBatchItem,
     for head, frames in ((model.ctc_head, f.h_asr),
                          (model.inter_ctc_head, f.h_inter)):
         term = ctc_loss(head(frames), item.target_tokens)
-        if ctc_is_infeasible(term):
+        if math.isinf(term.item()):
             term = Tensor(CTC_INFEASIBLE_PENALTY)
             infeasible += 1
         ctc_terms.append(term)
     ctc, inter = ctc_terms
     ce = ce_loss(trace.second_pass_logits, item.target_tokens)
-    spk = speaker_loss(f.cosine, item.speaker_indices)
+    spk = speaker_loss(f.cosine, item.speaker_indices, item.inventory.size)
     if speaker_weight != 1.0:
         spk = spk * speaker_weight
     return composite_loss(mae=mae, ctc=ctc, inter_ctc=inter, ce=ce,
@@ -289,14 +288,10 @@ def _reference_maps(sess, use_separator: bool, separator_id: int | None):
     return refs, stripped.tokens
 
 
-def evaluate(model_or_path, dataset: Dataset,
+def evaluate(model, dataset: Dataset,
              with_separator: bool | None = None) -> EvalReport:
     """Parallel-decode every session, regroup per speaker according to the
     serialization mode, and score speaker-dependent and merged error rates."""
-    if isinstance(model_or_path, (str, Path)):
-        model, _ = load_checkpoint(model_or_path)
-    else:
-        model = model_or_path
     if not isinstance(model, SaAsrModel):
         raise ConfigError(
             f"evaluate needs a parallel (SaAsrModel) checkpoint, got "

@@ -1,6 +1,6 @@
 """Shared pytest wiring: surface acceptance-criterion results in the
-terminal summary, where output capture cannot swallow them; and a writer of
-the previous checkpoint format."""
+terminal summary, where output capture cannot swallow them; a writer of the
+previous checkpoint format; and a checkpoint corrupter."""
 
 import json
 import struct
@@ -30,6 +30,19 @@ def write_sapf1_checkpoint(path, model):
             fh.write(struct.pack("<I", len(shape)))
             fh.write(struct.pack(f"<{len(shape)}I", *shape))
             fh.write(p.tensor.data.astype("<f8").tobytes())
+
+
+def flip_first_rank_high_byte(path):
+    """Flip the high byte of the first parameter's rank field in a saved
+    checkpoint, so the rank reads about 4.3e9."""
+    blob = bytearray(path.read_bytes())
+    pos = 6                                      # past the magic
+    (hlen,) = struct.unpack("<I", blob[pos:pos + 4])
+    pos += 4 + hlen + 4                          # header, parameter count
+    (nlen,) = struct.unpack("<I", blob[pos:pos + 4])
+    pos += 4 + nlen                              # the first name
+    blob[pos + 3] ^= 0xFF
+    path.write_bytes(bytes(blob))
 
 
 def record_criterion(criterion: int, passed: bool, detail: str):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from saasr.bench import BenchRow, bench_rtf
+from saasr.bench import BenchResult, BenchRow, bench_rtf
 from saasr.errors import ConfigError
 from saasr.model import (ArBaselineModel, ModelConfig, SaAsrModel,
                          save_checkpoint)
@@ -38,9 +38,9 @@ def test_bench_produces_rows_and_positive_rtfs(checkpoints):
     assert [r.length for r in result.rows] == [2, 4]
     for row in result.rows:
         assert row.rtf_nar > 0 and row.rtf_ar > 0
-    assert result.nar.total_audio_seconds == result.ar.total_audio_seconds
-    table = result.table()
-    assert "ar/nar" in table and "total rtf" in table
+    lines = result.table().splitlines()
+    assert "ar/nar" in lines[0] and lines[-1].startswith("total rtf")
+    assert [int(line.split()[0]) for line in lines[1:-1]] == [2, 4]
 
 
 def test_bench_ar_slower_at_moderate_length(checkpoints):
@@ -66,15 +66,28 @@ def test_bench_requires_correct_checkpoint_kinds(tmp_path, checkpoints):
 
 
 def test_bench_row_ratio():
-    row = BenchRow(length=8, rtf_nar=0.02, rtf_ar=0.08)
-    assert abs(row.ratio - 4.0) < 1e-12
+    # per-repeat ratios 3, 1 and 5: the median is 3, the ratio of the
+    # summed seconds 25 / 7
+    row = BenchRow(length=8, audio_s=0.5, nar_s=[1.0, 2.0, 4.0],
+                   ar_s=[3.0, 2.0, 20.0])
+    assert row.ratio == 3.0
+    assert row.rtf_nar == 7.0 / 1.5 and row.rtf_ar == 25.0 / 1.5
+
+
+def test_bench_table_total_counts_every_repeat():
+    rows = [BenchRow(length=2, audio_s=0.5, nar_s=[1.0], ar_s=[2.0]),
+            BenchRow(length=4, audio_s=1.0, nar_s=[1.0, 1.0], ar_s=[6.0, 6.0])]
+    # 3 s of parallel and 14 s of greedy decoding over 2.5 s of audio
+    assert BenchResult(rows).table().splitlines()[-1] == \
+        "total rtf: nar 1.2000  ar 5.6000  ratio 4.67"
 
 
 def test_bench_ratio_is_median_of_per_repeat_ratios(checkpoints):
     nar, ar = checkpoints
     row = bench_rtf(nar, ar, [3], seed=0, repeats=3).rows[0]
-    assert len(row.repeat_ratios) == 3
-    assert row.ratio == float(np.median(row.repeat_ratios))
+    assert len(row.nar_s) == len(row.ar_s) == 3
+    assert row.ratio == float(np.median(
+        [a / n for a, n in zip(row.ar_s, row.nar_s)]))
 
 
 @pytest.mark.parametrize("lengths", [[], [0], [4, -2]])
@@ -93,6 +106,7 @@ def test_bench_rejects_zero_repeats(checkpoints):
 def test_bench_warm_up_not_counted(checkpoints):
     nar, ar = checkpoints
     result = bench_rtf(nar, ar, [2, 3], seed=0, repeats=2)
-    # 3 frames per output token; one entry per timed repeat only
-    for report in (result.nar, result.ar):
-        assert [f for f, _ in report.per_length_breakdown] == [6, 6, 9, 9]
+    # 3 frames per output token at 8 ms; one entry per timed repeat only
+    assert [row.audio_s for row in result.rows] == [6 * 8.0 / 1000, 9 * 8.0 / 1000]
+    for row in result.rows:
+        assert len(row.nar_s) == len(row.ar_s) == 2

@@ -4,7 +4,7 @@ import json
 from dataclasses import fields, is_dataclass
 
 import pytest
-from conftest import write_sapf1_checkpoint
+from conftest import flip_first_rank_high_byte, write_sapf1_checkpoint
 
 from saasr.cli import main, train_config_from_pairs
 from saasr.data import SynthSpec, parse_flat_config
@@ -288,6 +288,10 @@ def test_train_truncated_features_exit_one(workspace, capsys, keep):
     ("s001.inv", 1, "s001_spk0 0.5 oops"),
     ("s001.inv", 0, "true_count"),
     ("s001.tokens", 0, "3 s001_spk0 4"),
+    ("s001.tokens", 0, "12 s001_spk0 0 2"),   # the separator slot
+    ("s001.tokens", 0, "-1 s001_spk0 0 2"),
+    ("s001.inv", 1, "s001_spk0 nan"),
+    ("s001.inv", 1, "s001_spk0 inf"),
 ])
 def test_train_malformed_text_file_exits_one(workspace, capsys, name, row, bad):
     data_dir = workspace / "data"
@@ -301,6 +305,35 @@ def test_train_malformed_text_file_exits_one(workspace, capsys, name, row, bad):
                  "--out", str(workspace / "run"),
                  "--config", str(workspace / "train.cfg")]) == 1
     assert f"error: {name}: malformed" in capsys.readouterr().err
+
+
+def test_train_corrupt_feature_length_exits_one(workspace, capsys):
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    feat = data_dir / "s000.feat"
+    blob = bytearray(feat.read_bytes())
+    blob[7] ^= 0xFF              # the high byte of the frame count
+    feat.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data_dir),
+                 "--out", str(workspace / "run"),
+                 "--config", str(workspace / "train.cfg")]) == 1
+    assert "error: truncated s000.feat values" in capsys.readouterr().err
+
+
+def test_eval_corrupt_checkpoint_rank_exits_one(workspace, capsys):
+    from saasr.model import SaAsrModel, save_checkpoint
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    ckpt = workspace / "model.ckpt"
+    save_checkpoint(ckpt, SaAsrModel(_small_model_config()))
+    flip_first_rank_high_byte(ckpt)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(data_dir)]) == 1
+    assert "rank 4278190082 does not match" in capsys.readouterr().err
 
 
 def test_gen_data_unreadable_value_exits_one(workspace, capsys):

@@ -1,13 +1,11 @@
-"""Edit alignment against a recursive oracle, SD-CER, RTF bookkeeping."""
+"""Edit alignment against a recursive oracle and SD-CER."""
 
 import functools
 import itertools
 
 import numpy as np
-import pytest
 
-from saasr.errors import ContractError
-from saasr.metrics import EditCounts, edit_align, rtf_report, sd_cer
+from saasr.metrics import EditCounts, edit_align, sd_cer
 
 
 def levenshtein_oracle(ref, hyp):
@@ -123,33 +121,3 @@ def test_sd_cer_invariant_under_consistent_relabeling():
     renamed = sd_cer({mapping[k]: v for k, v in refs.items()},
                      {mapping[k]: v for k, v in hyps.items()}).sd_cer
     assert base == renamed
-
-
-# -- RTF ------------------------------------------------------------------------
-
-def test_rtf_simple_ratio():
-    report = rtf_report([(125, 0.002), (125, 0.003)], frame_shift_ms=8.0)
-    # 250 frames at 8 ms = 2 s of audio
-    assert abs(report.total_audio_seconds - 2.0) < 1e-12
-    assert report.rtf == report.total_inference_seconds / 2.0
-    assert len(report.per_length_breakdown) == 2
-
-
-def test_rtf_audio_duration_from_frame_shift():
-    report = rtf_report([(1000, 0.0)], frame_shift_ms=8.0)
-    assert abs(report.total_audio_seconds - 8.0) < 1e-12
-
-
-def test_rtf_zero_duration_rejected():
-    for breakdown in ([(0, 0.01)], []):
-        with pytest.raises(ContractError):
-            rtf_report(breakdown, frame_shift_ms=8.0)
-
-
-def test_rtf_invariant_to_order():
-    breakdown = [(100, 0.001), (200, 0.002), (300, 0.0015)]
-    a = rtf_report(breakdown, frame_shift_ms=8.0)
-    b = rtf_report(list(reversed(breakdown)), frame_shift_ms=8.0)
-    assert abs(a.total_audio_seconds - b.total_audio_seconds) < 1e-12
-    assert abs(a.rtf - b.rtf) < 1e-12
-    assert sorted(a.per_length_breakdown) == sorted(b.per_length_breakdown)

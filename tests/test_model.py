@@ -3,9 +3,11 @@
 import json
 import struct
 
+import saasr.model
+
 import numpy as np
 import pytest
-from conftest import write_sapf1_checkpoint
+from conftest import flip_first_rank_high_byte, write_sapf1_checkpoint
 
 from saasr.errors import ConfigError, ContractError
 from saasr.data import config_from_pairs, config_pairs
@@ -292,8 +294,11 @@ def test_two_pass_with_filling_keeps_targets_genuine():
     model, x, y, spk, inv = two_pass_fixture()
     trace = model.two_pass_train_forward(x, y, spk, inv, sampler_seed=4,
                                          fill_to=6, fill_seed=9)
-    assert trace.front.cosine.b.data.shape[1] == 6
-    assert trace.front.cosine.fill_mask[:, inv.size:].all()
+    assert trace.front.cosine.data.shape[1] == 6
+    # the profile columns come first, untouched by the filling
+    plain = model.front(x, inv, target_len=len(y))
+    assert np.array_equal(trace.front.cosine.data[:, :inv.size],
+                          plain.cosine.data)
     assert trace.front.speaker_attention.data.shape[1] == 6
     sums = trace.front.speaker_attention.data.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
@@ -462,3 +467,46 @@ def test_checkpoint_rejects_previous_format(tmp_path):
     write_sapf1_checkpoint(path, SaAsrModel(tiny_cfg(), seed=31))
     with pytest.raises(ContractError, match="bad magic b'SAPF1"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_corrupt_rank_before_reading_shape(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, SaAsrModel(tiny_cfg(), seed=32))
+    flip_first_rank_high_byte(path)
+    with pytest.raises(ContractError, match="rank 4278190082 does not match"):
+        load_checkpoint(path)
+
+
+class _FailingFile:
+    """A file whose writes fail after the first few, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 6:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    previous = SaAsrModel(tiny_cfg(), seed=33)
+    save_checkpoint(path, previous)
+    monkeypatch.setattr(saasr.model, "open",
+                        lambda file, mode: _FailingFile(open(file, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, SaAsrModel(tiny_cfg(), seed=34))
+    monkeypatch.undo()
+    loaded, _ = load_checkpoint(path)
+    for a, b in zip(previous.parameters(), loaded.parameters()):
+        assert np.array_equal(a.tensor.data, b.tensor.data)
+    assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]

@@ -243,3 +243,21 @@ def test_positional_encoding_shape_and_range():
     assert pe.shape == (10, 8)
     assert np.all(np.abs(pe) <= 1.0)
     assert not np.allclose(pe[1], pe[2])
+
+
+def test_position_tables_and_masks_are_read_only_slices_of_fresh_ones():
+    for dim in (3, 8, 32, 64):
+        for length in range(1, 401):
+            pos = np.arange(length, dtype=np.float64)[:, None]
+            i = np.arange(dim, dtype=np.float64)[None, :]
+            angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
+            fresh = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+            table = positional_encoding(length, dim)
+            assert np.array_equal(table, fresh)
+            assert not table.flags.writeable
+    for length in range(400, 0, -1):
+        fresh = np.zeros((length, length))
+        fresh[np.triu_indices(length, k=1)] = -1e9
+        mask = causal_mask(length)
+        assert np.array_equal(mask, fresh)
+        assert not mask.flags.writeable

@@ -5,11 +5,10 @@ import pytest
 
 from saasr.errors import ContractError
 from saasr.nn import AttentionConfig, Parameter
-from saasr.speaker import (CosineScores, SpeakerDecoder, SpeakerInventory,
-                           SpeakerProfile, add_interfering, assign_speakers,
-                           attention_weights, cosine_scores, fill_speakers,
-                           project_query, weighted_profile)
-from saasr.tensor import Tensor, grad_check, tsum
+from saasr.speaker import (SpeakerDecoder, SpeakerInventory, SpeakerProfile,
+                           add_interfering, assign_speakers, cosine_scores,
+                           fill_speakers, weighted_profile)
+from saasr.tensor import Tensor, grad_check, softmax, tsum
 
 
 def orthonormal_inventory(k, d, true_count=None):
@@ -128,44 +127,20 @@ def test_speaker_decoder_gradient():
     assert report.passed, str(report)
 
 
-# -- query projection -------------------------------------------------------------
-
-def test_project_query_identity():
-    e = Tensor(np.random.default_rng(6).uniform(-1, 1, (4, 3)))
-    out = project_query(e, Tensor(np.eye(3)))
-    assert np.array_equal(out.data, e.data)
-
-
-def test_project_query_zero():
-    e = Tensor(np.ones((2, 3)))
-    out = project_query(e, Tensor(np.zeros((3, 5))))
-    assert np.array_equal(out.data, np.zeros((2, 5)))
-
-
-def test_project_query_matches_matmul_oracle():
-    rng = np.random.default_rng(7)
-    e = rng.uniform(-1, 1, (3, 4))
-    w = rng.uniform(-1, 1, (4, 2))
-    expected = np.array([[sum(e[i, k] * w[k, j] for k in range(4))
-                          for j in range(2)] for i in range(3)])
-    out = project_query(Tensor(e), Tensor(w))
-    assert np.allclose(out.data, expected, atol=1e-12)
-
-
 # -- cosine scores ------------------------------------------------------------------
 
 def test_cosine_scores_picks_out_matching_profile():
     inv = orthonormal_inventory(3, 5)
     q = Tensor(inv.profiles[0].vector[None, :])
     scores = cosine_scores(q, inv)
-    assert np.allclose(scores.b.data[0], [1.0, 0.0, 0.0], atol=1e-7)
+    assert np.allclose(scores.data[0], [1.0, 0.0, 0.0], atol=1e-7)
 
 
 def test_cosine_scores_antipodal_query():
     inv = orthonormal_inventory(2, 4)
     q = Tensor(-inv.profiles[0].vector[None, :])
     scores = cosine_scores(q, inv)
-    assert abs(scores.b.data[0, 0] + 1.0) < 1e-7
+    assert abs(scores.data[0, 0] + 1.0) < 1e-7
 
 
 def test_cosine_scores_matches_scalar_oracle():
@@ -178,7 +153,7 @@ def test_cosine_scores_matches_scalar_oracle():
             d = inv.profiles[k].vector
             expected = float(q[n] @ d) / (np.linalg.norm(q[n]) * np.linalg.norm(d))
             # implementation guards the query norm with a tiny epsilon
-            assert abs(scores.b.data[n, k] - expected) < 1e-7
+            assert abs(scores.data[n, k] - expected) < 1e-7
 
 
 def test_cosine_scores_scale_invariant():
@@ -187,17 +162,17 @@ def test_cosine_scores_scale_invariant():
     q = rng.uniform(-1, 1, (3, 5))
     s1 = cosine_scores(Tensor(q), inv)
     s2 = cosine_scores(Tensor(37.0 * q), inv)
-    assert np.max(np.abs(s1.b.data - s2.b.data)) < 1e-9
-    a1 = attention_weights(s1)
-    a2 = attention_weights(s2)
+    assert np.max(np.abs(s1.data - s2.data)) < 1e-9
+    a1 = softmax(s1, axis=1)
+    a2 = softmax(s2, axis=1)
     assert assign_speakers(a1, inv) == assign_speakers(a2, inv)
 
 
 def test_cosine_scores_zero_norm_query_is_guarded():
     inv = orthonormal_inventory(2, 3)
     scores = cosine_scores(Tensor(np.zeros((1, 3))), inv)
-    assert np.all(np.isfinite(scores.b.data))
-    assert np.allclose(scores.b.data, 0.0)
+    assert np.all(np.isfinite(scores.data))
+    assert np.allclose(scores.data, 0.0)
 
 
 def test_cosine_scores_gradient():
@@ -207,7 +182,7 @@ def test_cosine_scores_gradient():
 
     def loss():
         s = cosine_scores(q, inv)
-        return tsum(s.b * s.b)
+        return tsum(s * s)
 
     report = grad_check(loss, [Parameter("q", q)], tolerance=1e-5)
     assert report.passed, str(report)
@@ -216,25 +191,24 @@ def test_cosine_scores_gradient():
 # -- attention weights ------------------------------------------------------------
 
 def test_attention_weights_uniform_for_equal_scores():
-    scores = CosineScores(b=Tensor(np.full((3, 4), 0.2)))
-    att = attention_weights(scores)
+    att = softmax(Tensor(np.full((3, 4), 0.2)), axis=1)
     assert np.allclose(att.data, 0.25, atol=1e-12)
 
 
 def test_attention_weights_singleton_is_one():
-    att = attention_weights(CosineScores(b=Tensor([[0.37]])))
+    att = softmax(Tensor([[0.37]]), axis=1)
     assert att.data[0, 0] == 1.0
 
 
 def test_attention_weights_match_extended_precision_oracle():
     expected = [0.5611042381161665, 0.2521203860745199, 0.1867753758093136]
-    att = attention_weights(CosineScores(b=Tensor([[0.9, 0.1, -0.2]])))
+    att = softmax(Tensor([[0.9, 0.1, -0.2]]), axis=1)
     assert np.allclose(att.data[0], expected, atol=1e-12)
 
 
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(11)
-    att = attention_weights(CosineScores(b=Tensor(rng.uniform(-1, 1, (20, 5)))))
+    att = softmax(Tensor(rng.uniform(-1, 1, (20, 5))), axis=1)
     sums = att.data.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
     assert np.all(att.data > 0) and np.all(att.data < 1)
@@ -278,34 +252,32 @@ def test_weighted_profile_ignores_filled_columns():
 # -- speaker filling ----------------------------------------------------------------
 
 def test_fill_speakers_noop_when_width_matches():
-    scores = CosineScores(b=Tensor(np.random.default_rng(13).uniform(-1, 1, (2, 3))))
+    scores = Tensor(np.random.default_rng(13).uniform(-1, 1, (2, 3)))
     filled = fill_speakers(scores, 3, seed=0)
-    assert np.array_equal(filled.b.data, scores.b.data)
-    assert not filled.fill_mask.any()
+    assert np.array_equal(filled.data, scores.data)
 
 
 def test_fill_speakers_pads_with_bounded_values():
     rng = np.random.default_rng(14)
-    scores = CosineScores(b=Tensor(rng.uniform(-1, 1, (5, 2))))
+    scores = Tensor(rng.uniform(-1, 1, (5, 2)))
     filled = fill_speakers(scores, 4, seed=1)
-    assert filled.b.data.shape == (5, 4)
-    assert np.array_equal(filled.b.data[:, :2], scores.b.data)
-    pad = filled.b.data[:, 2:]
+    assert filled.data.shape == (5, 4)
+    assert np.array_equal(filled.data[:, :2], scores.data)
+    pad = filled.data[:, 2:]
     assert np.all((pad >= -0.5) & (pad <= 0.5))
-    assert filled.fill_mask[:, 2:].all() and not filled.fill_mask[:, :2].any()
 
 
 def test_fill_speakers_deterministic_per_seed():
-    scores = CosineScores(b=Tensor(np.zeros((3, 2))))
+    scores = Tensor(np.zeros((3, 2)))
     a = fill_speakers(scores, 5, seed=42)
     b = fill_speakers(scores, 5, seed=42)
-    assert np.array_equal(a.b.data, b.b.data)
+    assert np.array_equal(a.data, b.data)
     c = fill_speakers(scores, 5, seed=43)
-    assert not np.array_equal(a.b.data, c.b.data)
+    assert not np.array_equal(a.data, c.data)
 
 
 def test_fill_speakers_rejects_smaller_width():
-    scores = CosineScores(b=Tensor(np.zeros((1, 4))))
+    scores = Tensor(np.zeros((1, 4)))
     with pytest.raises(ContractError):
         fill_speakers(scores, 3, seed=0)
 
@@ -313,17 +285,17 @@ def test_fill_speakers_rejects_smaller_width():
 def test_fill_speakers_padding_carries_no_gradient():
     b = Tensor(np.random.default_rng(15).uniform(-1, 1, (2, 2)),
                requires_grad=True)
-    filled = fill_speakers(CosineScores(b=b), 4, seed=2)
-    tsum(filled.b * filled.b).backward()
+    filled = fill_speakers(b, 4, seed=2)
+    tsum(filled * filled).backward()
     assert b.grad is not None and b.grad.shape == (2, 2)
 
 
 def test_fill_values_have_near_zero_mean_over_many_draws():
-    scores = CosineScores(b=Tensor(np.zeros((10, 1))))
+    scores = Tensor(np.zeros((10, 1)))
     draws = []
     for seed in range(10_000):
         filled = fill_speakers(scores, 2, seed=seed)
-        draws.append(filled.b.data[:, 1])
+        draws.append(filled.data[:, 1])
     mean = np.mean(draws, axis=0)  # per padded cell position
     assert np.all(np.abs(mean) < 0.05)
 
@@ -395,5 +367,5 @@ def test_assign_with_orthonormal_profiles_recovers_planted_speakers():
     inv = orthonormal_inventory(5, 8)
     planted = rng.integers(0, 5, size=30)
     q = np.stack([inv.profiles[j].vector for j in planted])
-    att = attention_weights(cosine_scores(Tensor(q), inv))
+    att = softmax(cosine_scores(Tensor(q), inv), axis=1)
     assert assign_speakers(att, inv) == [f"spk{j}" for j in planted]
