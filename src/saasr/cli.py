@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .bench import bench_rtf
 from .data import (SynthSpec, config_from_pairs, generate_dataset,
-                   parse_flat_config, read_dataset, write_dataset)
+                   read_dataset, read_flat_config, write_dataset)
 from .diagnostics import run_gradient_suite
 from .errors import ConfigError, ContractError, ShapeError
 from .model import load_checkpoint
@@ -68,7 +68,7 @@ def train_config_from_pairs(pairs: dict, dataset_spec: SynthSpec) -> TrainConfig
 # -- subcommands -----------------------------------------------------------------
 
 def _cmd_gen_data(args) -> int:
-    pairs = parse_flat_config(Path(args.config).read_text()) if args.config else {}
+    pairs = read_flat_config(args.config) if args.config else {}
     if args.seed is not None:
         pairs["seed"] = str(args.seed)
     spec = config_from_pairs(SynthSpec, pairs)
@@ -82,7 +82,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = read_dataset(args.data)
-    pairs = parse_flat_config(Path(args.config).read_text()) if args.config else {}
+    pairs = read_flat_config(args.config) if args.config else {}
     if args.seed is not None:
         pairs["seed"] = str(args.seed)
     cfg = train_config_from_pairs(pairs, dataset.spec)

@@ -232,6 +232,16 @@ def parse_flat_config(text: str) -> dict:
     return out
 
 
+def read_flat_config(path) -> dict:
+    """``parse_flat_config`` of a file; a file that is not UTF-8 text
+    raises ConfigError naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_flat_config(text)
+
+
 def _parse_bool(text: str) -> bool:
     if text.lower() in ("1", "true", "yes", "on"):
         return True
@@ -400,7 +410,7 @@ def _parse_inventory(lines) -> SpeakerInventory:
 
 def read_dataset(directory) -> Dataset:
     directory = Path(directory)
-    pairs = parse_flat_config((directory / "manifest.txt").read_text())
+    pairs = read_flat_config(directory / "manifest.txt")
     if "sessions" not in pairs:
         raise ContractError(f"{directory / 'manifest.txt'} has no sessions line")
     session_ids = [s for s in pairs.pop("sessions").split(",") if s]

@@ -23,7 +23,7 @@ from .nn import (AttentionConfig, CrossBlock, DecoderLayer, Embedding,
                  positional_encoding)
 from .speaker import (SpeakerDecoder, SpeakerInventory, assign_speakers,
                       cosine_scores, fill_speakers, weighted_profile)
-from .tensor import Tensor, matmul, no_grad, softmax, transpose
+from .tensor import Tensor, getitem, matmul, no_grad, softmax, transpose
 
 CHECKPOINT_MAGIC = b"SAPF2\n"
 
@@ -339,37 +339,55 @@ class ArBaselineModel(Module):
         h, _ = encode_frames(x, self.asr_input, self.asr_layers)
         return h
 
-    def decode_prefix(self, prefix_ids, h_asr: Tensor) -> Tensor:
-        """One decoder pass over the whole prefix, causally masked."""
+    def memories(self, h_asr: Tensor) -> list:
+        """The encoder frames projected into each decoder block's
+        cross-attention keys and values, first block first."""
+        return ([self.dec_first.memory(h_asr, h_asr)]
+                + [layer.memory(h_asr) for layer in self.dec_layers])
+
+    def decode_prefix(self, prefix_ids, memories: list,
+                      last_only: bool = False) -> Tensor:
+        """One causally masked decoder pass over the whole prefix against the
+        blocks' ``memories``: logits for every position, or with
+        ``last_only`` for the last position alone. Every block below the last
+        runs over the whole prefix, since its rows are the keys and values of
+        the next block's self-attention."""
         self.decoder_calls += 1
         length = len(prefix_ids)
         e = self.token_embed(np.asarray(prefix_ids, dtype=np.intp))
         e = e + Tensor(positional_encoding(length, e.data.shape[1]))
         mask = causal_mask(length)
-        e = self.dec_first(e, h_asr, h_asr)
-        for layer in self.dec_layers:
-            e = layer(e, h_asr, self_mask=mask)
+        last = slice(length - 1, length) if last_only else None
+        if last is not None and not self.dec_layers:
+            e = getitem(e, last)    # the first block reads no other row
+        e = self.dec_first(e, memories[0])
+        for i, layer in enumerate(self.dec_layers, start=1):
+            e = layer(e, memories[i], self_mask=mask,
+                      query_rows=last if i == len(self.dec_layers) else None)
         return self.out_proj(e)
 
     def teacher_forced_logits(self, x: Tensor, y_true) -> Tensor:
         """Single causally masked pass; position i predicts target i, with a
         trailing end-of-sequence slot."""
-        h_asr = self.encode(x)
-        return self.decode_prefix([self.bos_id] + list(y_true), h_asr)
+        return self.decode_prefix([self.bos_id] + list(y_true),
+                                  self.memories(self.encode(x)))
 
     def greedy_infer(self, x: Tensor, inv: SpeakerInventory, max_len: int,
                      forbid_eos: bool = False) -> Hypothesis:
         """Greedy decoding, one decoder pass per step; stops on the
-        end-of-sequence token or at ``max_len`` emitted tokens. The baseline
-        does not attribute speakers."""
+        end-of-sequence token or at ``max_len`` emitted tokens. The encoder
+        frames are projected once per utterance; each step recomputes the
+        whole prefix below the last block, so no prefix state is cached.
+        The baseline does not attribute speakers."""
         if max_len < 1:
             raise ContractError(f"max_len must be >= 1, got {max_len}")
         with no_grad():
-            h_asr = self.encode(x)
+            memories = self.memories(self.encode(x))
             tokens: list = []
             confidences: list = []
             while len(tokens) < max_len:
-                logits = self.decode_prefix([self.bos_id] + tokens, h_asr)
+                logits = self.decode_prefix([self.bos_id] + tokens, memories,
+                                            last_only=True)
                 row = logits.data[-1]
                 if forbid_eos:
                     row = row[:self.eos_id]

@@ -123,6 +123,15 @@ class LayerNorm(Module):
         return layer_norm(x, self.gain, self.bias)
 
 
+@dataclass(frozen=True)
+class Memory:
+    """Keys and values already passed through one attention's key and value
+    projections, made by a block's ``memory`` method, so that any number of
+    queries against one source project it once."""
+    k: Tensor
+    v: Tensor
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with distinct key/value sources allowed."""
 
@@ -134,15 +143,26 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d, d, rng)
         self.wo = Linear(d, d, rng)
 
-    def __call__(self, q: Tensor, k: Tensor, v: Tensor,
-                 mask: np.ndarray | None = None) -> Tensor:
+    def _check_dims(self, **inputs: Tensor):
         d = self.cfg.model_dim
-        if q.data.shape[-1] != d or k.data.shape[-1] != d or v.data.shape[-1] != d:
+        if any(x.data.shape[-1] != d for x in inputs.values()):
             raise ShapeError(
-                f"attention inputs must have model_dim {d}: "
-                f"q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
-        q, k, v = self.wq(q), self.wk(k), self.wv(v)
-        return self.wo(attention_core(q, k, v, self.cfg.num_heads, mask))
+                f"attention inputs must have model_dim {d}: " + ", ".join(
+                    f"{name} {x.data.shape}" for name, x in inputs.items()))
+
+    def memory(self, k: Tensor, v: Tensor) -> Memory:
+        self._check_dims(k=k, v=v)
+        return Memory(self.wk(k), self.wv(v))
+
+    def __call__(self, q: Tensor, k: Tensor | Memory, v: Tensor | None = None,
+                 mask: np.ndarray | None = None) -> Tensor:
+        """Attend from ``q`` to the key and value inputs ``k`` and ``v``, or
+        to ``k`` given as their ``Memory`` (``v`` is then ignored)."""
+        self._check_dims(q=q)
+        q = self.wq(q)
+        mem = k if isinstance(k, Memory) else self.memory(k, v)
+        return self.wo(attention_core(q, mem.k, mem.v, self.cfg.num_heads,
+                                      mask))
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -210,19 +230,27 @@ class FeedForward(Module):
 class CrossBlock(Module):
     """Cross-attention with a plain residual, then feed-forward with a plain
     residual; ``fusion``, when given, is added to the feed-forward input.
-    Keys and values may come from different streams of one length."""
+    Keys and values may come from different streams of one length. With no
+    self-attention, each query row is computed on its own."""
 
     def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
         self.cross_mha = MultiHeadAttention(cfg, rng)
         self.ff = FeedForward(cfg, rng)
 
-    def __call__(self, q: Tensor, k: Tensor, v: Tensor,
-                 fusion: Tensor | None = None) -> Tensor:
+    def memory(self, k: Tensor, v: Tensor) -> Memory:
         if k.data.shape[0] != v.data.shape[0]:
             raise ContractError(
                 f"cross-attention keys and values disagree in length: "
                 f"{k.data.shape[0]} vs {v.data.shape[0]}")
-        e = q + self.cross_mha(q, k, v)
+        return self.cross_mha.memory(k, v)
+
+    def __call__(self, q: Tensor, k: Tensor | Memory, v: Tensor | None = None,
+                 fusion: Tensor | None = None) -> Tensor:
+        """``k`` and ``v`` are the key and value streams, or ``k`` is their
+        ``Memory`` from ``memory``."""
+        if not isinstance(k, Memory):
+            k = self.memory(k, v)
+        e = q + self.cross_mha(q, k)
         ff_in = e if fusion is None else e + fusion
         return e + self.ff(ff_in)
 
@@ -252,11 +280,23 @@ class DecoderLayer(Module):
         self.ln1 = LayerNorm(cfg.model_dim)
         self.ln2 = LayerNorm(cfg.model_dim)
 
-    def __call__(self, x: Tensor, mem: Tensor,
-                 self_mask: np.ndarray | None = None) -> Tensor:
-        x = self.ln_self(x + self.self_mha(x, x, x, mask=self_mask))
-        x = self.ln1(x + self.cross_mha(x, mem, mem))
-        return self.ln2(x + self.ff(x))
+    def memory(self, mem: Tensor) -> Memory:
+        return self.cross_mha.memory(mem, mem)
+
+    def __call__(self, x: Tensor, mem: Tensor | Memory,
+                 self_mask: np.ndarray | None = None,
+                 query_rows: slice | None = None) -> Tensor:
+        """``mem`` is the encoder output or its ``Memory`` from ``memory``.
+        ``query_rows`` computes only those rows of the output; every row of
+        ``x`` is still a key and value of the self-attention."""
+        q = x
+        if query_rows is not None:
+            q = getitem(x, query_rows)
+            if self_mask is not None:
+                self_mask = self_mask[query_rows]
+        q = self.ln_self(q + self.self_mha(q, x, x, mask=self_mask))
+        q = self.ln1(q + self.cross_mha(q, mem, mem))
+        return self.ln2(q + self.ff(q))
 
 
 # one read-only position table per model dim and one causal mask, each grown

@@ -202,6 +202,9 @@ def train(cfg: TrainConfig, dataset: Dataset,
         # inside the loop, a ContractError from bad data would read as
         # divergence at step one
         model.check_inputs(item.features, item.inventory)
+        if not item.target_tokens:
+            raise ContractError(
+                f"session {item.session_id!r} has no target tokens")
     fill_to = None
     if cfg.fill_speakers_enabled:
         # one slot past the largest augmented inventory, so every session

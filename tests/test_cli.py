@@ -292,19 +292,51 @@ def test_train_truncated_features_exit_one(workspace, capsys, keep):
     ("s001.tokens", 0, "-1 s001_spk0 0 2"),
     ("s001.inv", 1, "s001_spk0 nan"),
     ("s001.inv", 1, "s001_spk0 inf"),
+    ("s001.tokens", None, ""),                 # an empty file: no tokens
 ])
 def test_train_malformed_text_file_exits_one(workspace, capsys, name, row, bad):
     data_dir = workspace / "data"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
           "--out", str(data_dir)])
-    lines = (data_dir / name).read_text().splitlines()
-    lines[row] = bad
-    (data_dir / name).write_text("\n".join(lines) + "\n")
+    lines = []
+    if row is not None:
+        lines = (data_dir / name).read_text().splitlines()
+        lines[row] = bad
+    (data_dir / name).write_text("".join(line + "\n" for line in lines))
     capsys.readouterr()
     assert main(["train", "--data", str(data_dir),
                  "--out", str(workspace / "run"),
                  "--config", str(workspace / "train.cfg")]) == 1
-    assert f"error: {name}: malformed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if row is None:
+        assert "error: session 's001' has no target tokens" in err
+        assert "diverged" not in err
+    else:
+        assert f"error: {name}: malformed" in err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+def test_non_utf8_config_or_manifest_exits_one(workspace, capsys, command):
+    from saasr.model import SaAsrModel, save_checkpoint
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    if command == "eval":
+        culprit = data_dir / "manifest.txt"
+        culprit.write_bytes(culprit.read_bytes() + b"# \xff\n")
+        ckpt = workspace / "model.ckpt"
+        save_checkpoint(ckpt, SaAsrModel(_small_model_config()))
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)]
+    else:
+        culprit = workspace / "bad.cfg"
+        culprit.write_bytes(b"seed = 1\xff\n")
+        inputs = [] if command == "gen-data" else ["--data", str(data_dir)]
+        argv = [command, *inputs, "--out", str(workspace / "out"),
+                "--config", str(culprit)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {culprit}: not UTF-8 text")
 
 
 def test_train_corrupt_feature_length_exits_one(workspace, capsys):

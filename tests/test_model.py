@@ -4,6 +4,7 @@ import json
 import struct
 
 import saasr.model
+import saasr.nn
 
 import numpy as np
 import pytest
@@ -382,6 +383,52 @@ def test_ar_teacher_forced_logit_shape():
     logits = model.teacher_forced_logits(random_features(9, cfg, seed=25),
                                          [1, 2, 3])
     assert logits.data.shape == (4, cfg.vocab_size + 1)
+
+
+@pytest.mark.parametrize("decoder_layers", [1, 2, 3])
+def test_ar_greedy_matches_teacher_forced_pass(monkeypatch, decoder_layers):
+    cfg = tiny_cfg(decoder_layers=decoder_layers)
+    model = ArBaselineModel(cfg, seed=29)
+    x = random_features(12, cfg, seed=30)
+    prefix_rows, cross_projections, encoded = [], [], []
+    decode_prefix = ArBaselineModel.decode_prefix
+    memory = saasr.nn.MultiHeadAttention.memory
+    encode = ArBaselineModel.encode
+
+    def spy_decode_prefix(self, prefix_ids, *args, **kwargs):
+        prefix_rows.append(len(prefix_ids))
+        return decode_prefix(self, prefix_ids, *args, **kwargs)
+
+    def spy_memory(self, k, v):
+        cross_projections.extend(t for t in (k, v)
+                                 if any(t is h for h in encoded))
+        return memory(self, k, v)
+
+    def spy_encode(self, frames):
+        encoded.append(encode(self, frames))
+        return encoded[-1]
+
+    monkeypatch.setattr(ArBaselineModel, "decode_prefix", spy_decode_prefix)
+    monkeypatch.setattr(saasr.nn.MultiHeadAttention, "memory", spy_memory)
+    monkeypatch.setattr(ArBaselineModel, "encode", spy_encode)
+    hyp = model.greedy_infer(x, make_inventory(2, cfg.d_spk), max_len=40,
+                             forbid_eos=True)
+    assert prefix_rows == list(range(1, 41))
+    # each block's cross-attention projects the encoder frames into its keys
+    # and values once for the whole utterance
+    assert len(encoded) == 1 and len(cross_projections) == 2 * decoder_layers
+    monkeypatch.undo()
+
+    # row i of one causally masked pass sees exactly what greedy step i saw
+    full = model.teacher_forced_logits(x, hyp.tokens).data
+    assert hyp.tokens == list(np.argmax(full[:40, :model.eos_id], axis=1))
+    memories = model.memories(model.encode(x))
+    for length in range(1, 41):
+        prefix = [model.bos_id] + hyp.tokens[:length - 1]
+        last = model.decode_prefix(prefix, memories, last_only=True).data
+        assert last.shape == (1, cfg.vocab_size + 1)
+        np.testing.assert_allclose(last[0], full[length - 1], rtol=0,
+                                   atol=1e-12)
 
 
 # -- checkpoints ------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from saasr.errors import ConfigError, ShapeError
-from saasr.nn import (AttentionConfig, CrossBlock, EncoderLayer, FeedForward,
-                      LayerNorm, Linear, Module, MultiHeadAttention,
-                      causal_mask, layer_norm, positional_encoding)
+from saasr.errors import ConfigError, ContractError, ShapeError
+from saasr.nn import (AttentionConfig, CrossBlock, DecoderLayer, EncoderLayer,
+                      FeedForward, LayerNorm, Linear, Module,
+                      MultiHeadAttention, causal_mask, layer_norm,
+                      positional_encoding)
 from saasr.tensor import Tensor, grad_check, tsum
 
 
@@ -215,6 +216,40 @@ def test_cross_block_matches_fused_first_layer_composition():
             grads.append([e.grad.copy()] + [p.tensor.grad.copy()
                                             for p in block.parameters()])
         assert all(np.array_equal(a, b) for a, b in zip(*grads))
+
+
+def test_blocks_accept_projected_memory_and_query_rows():
+    cfg = make_cfg()
+    rng = np.random.default_rng(4)
+    cross, layer = CrossBlock(cfg, rng), DecoderLayer(cfg, rng)
+    x = Tensor(rng.uniform(-1, 1, (6, 8)))
+    h = Tensor(rng.uniform(-1, 1, (9, 8)))
+    assert np.array_equal(cross(x, cross.memory(h, h)).data,
+                          cross(x, h, h).data)
+    mask = causal_mask(6)
+    full = layer(x, h, self_mask=mask).data
+    mem = layer.memory(h)
+    assert np.array_equal(layer(x, mem, self_mask=mask).data, full)
+    # a subset of the rows as queries, every row still a key and value
+    for rows in (slice(5, 6), slice(2, 4), slice(0, 6)):
+        part = layer(x, mem, self_mask=mask, query_rows=rows).data
+        np.testing.assert_allclose(part, full[rows], rtol=0, atol=1e-12)
+
+
+def test_projected_memory_keeps_shape_and_length_checks():
+    cfg = make_cfg()
+    rng = np.random.default_rng(5)
+    cross, layer = CrossBlock(cfg, rng), DecoderLayer(cfg, rng)
+    h = Tensor(rng.uniform(-1, 1, (5, 8)))
+    narrow = Tensor(rng.uniform(-1, 1, (3, 4)))
+    with pytest.raises(ContractError):
+        cross.memory(h, Tensor(rng.uniform(-1, 1, (6, 8))))
+    with pytest.raises(ShapeError):
+        layer.memory(narrow)
+    with pytest.raises(ShapeError):
+        cross(narrow, cross.memory(h, h))
+    with pytest.raises(ShapeError):
+        layer(narrow, layer.memory(h))
 
 
 def test_parameter_names_unique_and_registered_once():
