@@ -15,6 +15,7 @@ from .tensor import Tensor
 
 FRAME_SHIFT_MS = 8.0
 FRAMES_PER_OUTPUT = 3
+BENCH_REPEATS = 5
 
 
 @dataclass
@@ -84,20 +85,17 @@ def _seconds(fn) -> float:
     return time.perf_counter() - t0
 
 
-def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0,
-              repeats: int = 5) -> BenchResult:
+def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0) -> BenchResult:
     """For each requested output length, synthesize inputs driving that
     length, then time parallel decodes against greedy decodes forced to
     emit the same number of tokens. After one untimed warm-up decode of
     each, the two alternate repeat by repeat, so both see the same phase of
     a host whose speed drifts; a length's ratio is the median of its
-    ``repeats`` per-repeat ratios. Runs serially."""
+    ``BENCH_REPEATS`` per-repeat ratios. Runs serially."""
     lengths = [int(length) for length in lengths]
     if not lengths or min(lengths) < 1:
         raise ConfigError(
             f"bench needs at least one output length, all >= 1: {lengths}")
-    if repeats < 1:
-        raise ConfigError(f"bench needs at least one repeat, got {repeats}")
     nar_model, _ = load_checkpoint(nar_ckpt)
     ar_model, _ = load_checkpoint(ar_ckpt)
     if not isinstance(nar_model, SaAsrModel) or \
@@ -128,7 +126,7 @@ def bench_rtf(nar_ckpt, ar_ckpt, lengths, seed: int = 0,
         ar()
         row = BenchRow(length=length, audio_s=frames * FRAME_SHIFT_MS / 1000.0,
                        nar_s=[], ar_s=[])
-        for _ in range(repeats):
+        for _ in range(BENCH_REPEATS):
             row.nar_s.append(_seconds(nar))
             row.ar_s.append(_seconds(ar))
         rows.append(row)

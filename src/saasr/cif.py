@@ -11,7 +11,7 @@ from .errors import ContractError, ShapeError
 from .nn import Linear, Module
 from .tensor import Tensor, graph_node, matmul, reshape, sigmoid, tabs, tsum
 
-DEFAULT_THRESHOLD = 1.0
+THRESHOLD = 1.0      # accumulated weight that fires one token
 
 
 @dataclass
@@ -39,7 +39,7 @@ class WeightPredictor(Module):
         return reshape(sigmoid(self.proj(h)), (h.data.shape[0],))
 
 
-def _cif_forward(alpha: np.ndarray, beta: float):
+def _cif_forward(alpha: np.ndarray):
     """Sequential accumulation. Returns the dense per-token frame-weight
     matrix plus the bookkeeping needed for its gradient."""
     T = alpha.shape[0]
@@ -50,6 +50,7 @@ def _cif_forward(alpha: np.ndarray, beta: float):
     cur = {}
     cur_n = 0
     acc = 0.0
+    beta = THRESHOLD
     for t in range(T):
         a = float(alpha[t])
         if acc + a < beta:
@@ -85,21 +86,17 @@ def _cif_forward(alpha: np.ndarray, beta: float):
     return weights, firings, residue, direct, boundary
 
 
-def integrate_and_fire(h: Tensor, alpha: Tensor,
-                       beta: float = DEFAULT_THRESHOLD) -> FiringPlan:
+def integrate_and_fire(h: Tensor, alpha: Tensor) -> FiringPlan:
     """Accumulate weights frame by frame; each threshold crossing emits one
     token embedding. The crossing frame's weight is split between the
     finishing and the opening token, and gradients flow through both shares.
     """
-    if beta <= 0:
-        raise ContractError(f"threshold must be positive, got {beta}")
     T = h.data.shape[0]
     if alpha.data.shape != (T,):
         raise ShapeError(
             f"frame count mismatch: weights {alpha.data.shape} vs frames {T}")
 
-    weights_np, firings, residue, direct, boundary = _cif_forward(
-        alpha.data, beta)
+    weights_np, firings, residue, direct, boundary = _cif_forward(alpha.data)
 
     n_fired = weights_np.shape[0]
 
@@ -127,8 +124,7 @@ def integrate_and_fire(h: Tensor, alpha: Tensor,
                       frame_weights=weights)
 
 
-def scale_weights(alpha: Tensor, target_len: int,
-                  beta: float = DEFAULT_THRESHOLD) -> Tensor:
+def scale_weights(alpha: Tensor, target_len: int) -> Tensor:
     """Rescale weights so integrate_and_fire emits exactly ``target_len``
     tokens (teacher forcing during training). The gradient flows through
     the normalizing sum."""
@@ -138,7 +134,7 @@ def scale_weights(alpha: Tensor, target_len: int,
         raise ContractError("degenerate weights: sum of alpha is zero")
     # the tiny bump keeps the final crossing above the threshold after
     # float rounding of the rescaled partial sums
-    factor = Tensor(target_len * beta * (1.0 + 1e-12)) / tsum(alpha)
+    factor = Tensor(target_len * THRESHOLD * (1.0 + 1e-12)) / tsum(alpha)
     return alpha * factor
 
 

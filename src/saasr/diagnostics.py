@@ -164,8 +164,12 @@ def composite_loss_check(seed: int = 0):
     return loss_fn, model.parameters()
 
 
-def run_gradient_suite(seed: int = 0, step: float = 1e-5,
-                       tolerance: float = 1e-4, max_probes: int = 6):
+# elements probed per parameter: blocks are small, the composite loss is not
+BLOCK_PROBES = 6
+COMPOSITE_PROBES = 3
+
+
+def run_gradient_suite(seed: int = 0, tolerance: float = 1e-4):
     """Run every block check plus the composite loss check.
 
     Returns a list of (name, GradCheckReport).
@@ -173,11 +177,10 @@ def run_gradient_suite(seed: int = 0, step: float = 1e-5,
     rng = np.random.default_rng(seed)
     results = []
     for name, fn, params in _block_checks(rng):
-        results.append((name, grad_check(fn, params, step=step,
-                                         tolerance=tolerance,
-                                         max_probes=max_probes)))
+        results.append((name, grad_check(fn, params, tolerance=tolerance,
+                                         max_probes=BLOCK_PROBES)))
     loss_fn, params = composite_loss_check(seed)
     results.append(("composite_training_loss",
-                    grad_check(loss_fn, params, step=step,
-                               tolerance=tolerance, max_probes=3)))
+                    grad_check(loss_fn, params, tolerance=tolerance,
+                               max_probes=COMPOSITE_PROBES)))
     return results

@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cif import (DEFAULT_THRESHOLD, WeightPredictor, integrate_and_fire,
-                  scale_weights)
+from .cif import WeightPredictor, integrate_and_fire, scale_weights
 from .data import config_from_pairs, config_pairs, read_exact, read_u32s
 from .errors import ConfigError, ContractError, ShapeError
 from .metrics import edit_align
@@ -58,9 +57,10 @@ class ModelConfig:
             raise ConfigError("layer counts must be positive")
 
     @property
-    def separator_id(self) -> int:
-        # reserved last vocab slot; meaningful in separator mode
-        return self.vocab_size - 1
+    def separator_id(self) -> int | None:
+        """The speaker-change token: the reserved last vocabulary slot in
+        separator mode, None otherwise."""
+        return self.vocab_size - 1 if self.use_cc_separator else None
 
 
 @dataclass
@@ -247,7 +247,7 @@ class SaAsrModel(Module):
         weights = self.predictor(h_asr)
         fired = weights if target_len is None else scale_weights(
             weights, target_len)
-        e_a = integrate_and_fire(h_asr, fired, DEFAULT_THRESHOLD).embeddings
+        e_a = integrate_and_fire(h_asr, fired).embeddings
         scores = self.speaker_scores(e_a, h_asr, h_spk, inv)
         if fill_to is not None:
             scores = fill_speakers(scores, fill_to, fill_seed)
@@ -413,7 +413,7 @@ def save_checkpoint(path, model, extra: dict | None = None):
     interrupted save leaves the previous checkpoint whole."""
     kind = "ar" if isinstance(model, ArBaselineModel) else "nar"
     header = {"kind": kind, "config": dict(config_pairs(model.cfg))}
-    if model.cfg.use_cc_separator:
+    if model.cfg.separator_id is not None:
         header["separator_id"] = model.cfg.separator_id
     if extra:
         header["extra"] = extra
@@ -458,6 +458,8 @@ def load_checkpoint(path):
             # TypeError and AttributeError: a header or config that is not
             # a JSON object
             raise ContractError(f"malformed checkpoint header: {exc}") from None
+        if kind not in ("nar", "ar"):
+            raise ContractError(f"unknown checkpoint kind {kind!r}")
         model = ArBaselineModel(cfg) if kind == "ar" else SaAsrModel(cfg)
         by_name = {p.name: p.tensor for p in model.parameters()}
         (n_params,) = read_u32s(fh, 1, "checkpoint parameter count")

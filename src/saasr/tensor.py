@@ -350,6 +350,7 @@ def clip_min(a: Tensor, lo: float) -> Tensor:
 
 # -- gradient checking -----------------------------------------------------
 
+GRAD_CHECK_STEP = 1e-5
 GRAD_CHECK_FLOOR = 1e-2
 
 
@@ -368,16 +369,16 @@ class GradCheckReport:
         return max(self.errors.values(), default=0.0)
 
 
-def grad_check(function, parameters, step: float = 1e-5,
-               tolerance: float = 1e-5, max_probes: int | None = None,
-               rng: np.random.Generator | None = None) -> GradCheckReport:
-    """Compare analytic gradients of ``function()`` to central differences.
+def grad_check(function, parameters, tolerance: float = 1e-5,
+               max_probes: int | None = None) -> GradCheckReport:
+    """Compare analytic gradients of ``function()`` to central differences
+    of step ``GRAD_CHECK_STEP``.
 
     ``function`` must be deterministic and return a scalar Tensor built from
     ``parameters`` (a sequence of objects with ``name`` and ``tensor``).
-    When ``max_probes`` is set, at most that many randomly chosen elements
-    per parameter are probed; otherwise every element is. Errors are
-    relative to the larger of the two values, floored at
+    When ``max_probes`` is set, at most that many elements per parameter,
+    drawn by a generator seeded with 0, are probed; otherwise every element
+    is. Errors are relative to the larger of the two values, floored at
     ``GRAD_CHECK_FLOOR`` so that noise-level gradient components do not
     dominate the report.
     """
@@ -399,7 +400,7 @@ def grad_check(function, parameters, step: float = 1e-5,
                          else p.tensor.grad.copy())
                 for p in parameters}
 
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     for p in parameters:
         flat = p.tensor.data.reshape(-1)
         idxs = np.arange(flat.size)
@@ -409,12 +410,12 @@ def grad_check(function, parameters, step: float = 1e-5,
         for i in idxs:
             orig = flat[i]
             with no_grad():
-                flat[i] = orig + step
+                flat[i] = orig + GRAD_CHECK_STEP
                 f_plus = function().item()
-                flat[i] = orig - step
+                flat[i] = orig - GRAD_CHECK_STEP
                 f_minus = function().item()
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
             a = analytic[p.name].reshape(-1)[i]
             denom = max(abs(a), abs(numeric), GRAD_CHECK_FLOOR)
             worst = max(worst, abs(a - numeric) / denom)

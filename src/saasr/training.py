@@ -19,7 +19,7 @@ from .metrics import EditCounts, SDCERReport, edit_align, sd_cer
 from .model import ModelConfig, SaAsrModel, save_checkpoint
 from .speaker import add_interfering
 from .tensor import Tensor, no_grad
-from .tsot import deserialize, serialize, strip_separators
+from .tsot import deserialize, serialize
 
 
 @dataclass
@@ -116,21 +116,20 @@ class SessionBatchItem:
     fill_seed: int
 
 
-def _session_targets(sess, use_separator: bool, separator_id: int | None):
-    target = serialize(sess.tokens, with_separator=use_separator,
-                       separator_id=separator_id if use_separator else None)
-    indices = [sess.inventory.index_of(lab) for lab in target.speaker_labels]
-    return target.tokens, indices
+def _check_dims(model_cfg: ModelConfig, dataset: Dataset):
+    """A dataset and a model must agree on vocabulary and feature size."""
+    for name in ("vocab_size", "feature_dim"):
+        data, model = getattr(dataset.spec, name), getattr(model_cfg, name)
+        if data != model:
+            raise ConfigError(f"{name} mismatch: data {data} vs model {model}")
 
 
 def prepare_batch_items(dataset: Dataset, cfg: TrainConfig) -> list:
     """Targets, augmented inventories, and per-session seeds, fixed for the
     whole run so a frozen model sees identical batches every epoch."""
-    model_cfg = cfg.model
     items = []
     for i, sess in enumerate(dataset.sessions):
-        tokens, indices = _session_targets(
-            sess, model_cfg.use_cc_separator, model_cfg.separator_id)
+        target = serialize(sess.tokens, cfg.model.separator_id)
         inv = sess.inventory
         if cfg.interfering_m > 0:
             pool = dataset.profile_pool(sess.session_id)
@@ -139,8 +138,9 @@ def prepare_batch_items(dataset: Dataset, cfg: TrainConfig) -> list:
         items.append(SessionBatchItem(
             session_id=sess.session_id,
             features=Tensor(sess.features),
-            target_tokens=tokens,
-            speaker_indices=indices,
+            target_tokens=target.tokens,
+            speaker_indices=[sess.inventory.index_of(lab)
+                             for lab in target.speaker_labels],
             inventory=inv,
             sampler_seed=cfg.seed * 65537 + i,
             fill_seed=cfg.seed * 131071 + i))
@@ -183,14 +183,7 @@ def train(cfg: TrainConfig, dataset: Dataset,
     (with the step recorded) if the loss goes non-finite."""
     if not dataset.sessions:
         raise ContractError("training data is empty")
-    if dataset.spec.feature_dim != cfg.model.feature_dim:
-        raise ConfigError(
-            f"feature_dim mismatch: data {dataset.spec.feature_dim} "
-            f"vs model {cfg.model.feature_dim}")
-    if dataset.spec.vocab_size != cfg.model.vocab_size:
-        raise ConfigError(
-            f"vocab mismatch: data {dataset.spec.vocab_size} "
-            f"vs model {cfg.model.vocab_size}")
+    _check_dims(cfg.model, dataset)
 
     started = time.perf_counter()
     model = init_model if init_model is not None else SaAsrModel(
@@ -281,48 +274,31 @@ class EvalReport:
     summary: str
 
 
-def _reference_maps(sess, use_separator: bool, separator_id: int | None):
-    target = serialize(sess.tokens, with_separator=use_separator,
-                       separator_id=separator_id if use_separator else None)
-    stripped = strip_separators(target)
-    refs = {}
-    for tok, lab in zip(stripped.tokens, stripped.speaker_labels):
-        refs.setdefault(lab, []).append(tok)
-    return refs, stripped.tokens
-
-
-def evaluate(model, dataset: Dataset,
-             with_separator: bool | None = None) -> EvalReport:
+def evaluate(model, dataset: Dataset) -> EvalReport:
     """Parallel-decode every session, regroup per speaker according to the
     serialization mode, and score speaker-dependent and merged error rates."""
     if not isinstance(model, SaAsrModel):
         raise ConfigError(
             f"evaluate needs a parallel (SaAsrModel) checkpoint, got "
             f"{type(model).__name__}")
-    cfg = model.cfg
-    if cfg.vocab_size != dataset.spec.vocab_size:
-        raise ConfigError(
-            f"vocab mismatch: checkpoint {cfg.vocab_size} "
-            f"vs data {dataset.spec.vocab_size}")
-    if cfg.feature_dim != dataset.spec.feature_dim:
-        raise ConfigError(
-            f"feature_dim mismatch: checkpoint {cfg.feature_dim} "
-            f"vs data {dataset.spec.feature_dim}")
-    mode = cfg.use_cc_separator if with_separator is None else with_separator
-    sep = cfg.separator_id if mode else None
+    _check_dims(model.cfg, dataset)
+    sep = model.cfg.separator_id
 
     all_refs = {}
     all_hyps = {}
     merged = EditCounts()
     lines = []
     for sess in dataset.sessions:
-        refs, merged_ref = _reference_maps(sess, mode, sep)
+        ref = serialize(sess.tokens)
+        refs = {}
+        for tok, lab in zip(ref.tokens, ref.speaker_labels):
+            refs.setdefault(lab, []).append(tok)
         hyp = model.nar_infer(Tensor(sess.features), sess.inventory)
-        groups = deserialize(hyp, with_separator=mode, separator_id=sep)
-        hyp_merged = [t for t in hyp.tokens if sep is None or t != sep]
+        groups = deserialize(hyp, sep)
+        hyp_merged = [t for t in hyp.tokens if t != sep]
 
         session_sd = sd_cer(refs, groups)
-        session_merged = edit_align(merged_ref, hyp_merged)
+        session_merged = edit_align(ref.tokens, hyp_merged)
         merged = merged + session_merged
         all_refs.update(refs)
         all_hyps.update(groups)
@@ -344,12 +320,10 @@ def evaluate(model, dataset: Dataset,
 def validation_ce(model: SaAsrModel, dataset: Dataset) -> float:
     """Teacher-forced cross entropy without the sampler: weights scaled to
     the target length, a single decoder pass on pure acoustic embeddings."""
-    cfg = model.cfg
     total, count = 0.0, 0
     with no_grad():
         for sess in dataset.sessions:
-            tokens, _ = _session_targets(sess, cfg.use_cc_separator,
-                                         cfg.separator_id)
+            tokens = serialize(sess.tokens, model.cfg.separator_id).tokens
             f = model.front(Tensor(sess.features), sess.inventory,
                             target_len=len(tokens))
             logits = model.asr_decode(f.e_a, f.h_asr, f.d_bar)

@@ -28,71 +28,52 @@ class TimedToken:
 class SerializedTarget:
     tokens: list
     speaker_labels: list       # separator slots carry the upcoming speaker
-    has_separator: bool
-    separator_id: int | None = None
+    separator: int | None = None
 
     def __post_init__(self):
         if len(self.tokens) != len(self.speaker_labels):
             raise ContractError("tokens and speaker labels must be parallel")
-        if self.has_separator:
-            if self.separator_id is None:
-                raise ContractError("separator mode needs a separator id")
-            sep = self.separator_id
+        sep = self.separator
+        if sep is not None:
             if self.tokens and (self.tokens[0] == sep or self.tokens[-1] == sep):
                 raise ContractError("separator may not open or close the stream")
             for a, b in zip(self.tokens, self.tokens[1:]):
                 if a == sep and b == sep:
                     raise ContractError("adjacent separators")
-        elif self.separator_id is not None and self.separator_id in self.tokens:
-            raise ContractError("separator token present without separator mode")
 
     def __len__(self):
         return len(self.tokens)
 
 
-def serialize(utterance_tokens, with_separator: bool,
-              separator_id: int | None = None) -> SerializedTarget:
+def serialize(utterance_tokens, separator: int | None = None) -> SerializedTarget:
     """Merge all speakers' tokens into one stream sorted by end time
-    (ties: start time, then speaker id). With separators on, a separator
-    is inserted at every speaker change, labeled with the incoming speaker.
+    (ties: start time, then speaker id). Given a ``separator`` id, that
+    token is inserted at every speaker change, labeled with the incoming
+    speaker.
     """
-    if with_separator and separator_id is None:
-        raise ContractError("with_separator requires a separator id")
     ordered = sorted(utterance_tokens,
                      key=lambda t: (t.end_frame, t.start_frame, t.speaker))
     tokens, labels = [], []
     prev_speaker = None
     for t in ordered:
-        if with_separator and prev_speaker is not None and t.speaker != prev_speaker:
-            tokens.append(separator_id)
+        if separator is not None and prev_speaker not in (None, t.speaker):
+            tokens.append(separator)
             labels.append(t.speaker)
         tokens.append(t.token)
         labels.append(t.speaker)
         prev_speaker = t.speaker
     return SerializedTarget(tokens=tokens, speaker_labels=labels,
-                            has_separator=with_separator,
-                            separator_id=separator_id if with_separator else None)
+                            separator=separator)
 
 
-def strip_separators(t: SerializedTarget) -> SerializedTarget:
-    """Drop separator tokens and their label slots."""
-    if not t.has_separator:
-        return SerializedTarget(list(t.tokens), list(t.speaker_labels),
-                                has_separator=False)
-    keep = [(tok, lab) for tok, lab in zip(t.tokens, t.speaker_labels)
-            if tok != t.separator_id]
-    return SerializedTarget([tok for tok, _ in keep], [lab for _, lab in keep],
-                            has_separator=False)
-
-
-def deserialize(hyp, with_separator: bool,
-                separator_id: int | None = None) -> dict:
+def deserialize(hyp, separator: int | None = None) -> dict:
     """Group a decoded stream back into per-speaker token sequences.
 
-    Without separators every token goes to its own predicted speaker label.
-    With separators the stream is split at separator tokens and each segment
-    goes whole to its majority predicted label (ties: the tied speaker seen
-    earliest in the segment). Order within a speaker follows the stream.
+    Without a separator every token goes to its own predicted speaker
+    label. With one, the stream is split at separator tokens and each
+    segment goes whole to its majority predicted label (ties: the tied
+    speaker seen earliest in the segment). Order within a speaker follows
+    the stream.
     """
     tokens = list(hyp.tokens)
     labels = list(hyp.speaker_ids)
@@ -100,16 +81,11 @@ def deserialize(hyp, with_separator: bool,
         raise ContractError("hypothesis token/speaker sequences not parallel")
 
     out: dict = {}
-    if not with_separator:
-        if separator_id is not None and separator_id in tokens:
-            raise ContractError(
-                "malformed stream: separator token in separator-free mode")
+    if separator is None:
         for tok, lab in zip(tokens, labels):
             out.setdefault(lab, []).append(tok)
         return out
 
-    if separator_id is None:
-        raise ContractError("with_separator requires a separator id")
     segment: list = []
     seg_labels: list = []
 
@@ -129,7 +105,7 @@ def deserialize(hyp, with_separator: bool,
         seg_labels.clear()
 
     for tok, lab in zip(tokens, labels):
-        if tok == separator_id:
+        if tok == separator:
             flush()
         else:
             segment.append(tok)

@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import pytest
 
 from saasr.bench import bench_rtf
 from saasr.cif import integrate_and_fire, scale_weights
@@ -39,7 +38,7 @@ def report(criterion: int, passed: bool, detail: str):
 
 def test_criterion_1_gradient_suite():
     t0 = time.perf_counter()
-    results = run_gradient_suite(seed=0, step=1e-5, tolerance=1e-4)
+    results = run_gradient_suite(seed=0, tolerance=1e-4)
     elapsed = time.perf_counter() - t0
     worst = max(rep.worst for _, rep in results)
     all_pass = all(rep.passed for _, rep in results)
@@ -121,7 +120,7 @@ def test_criterion_3_cif_exactness():
         t_len = int(rng.integers(1, 60))
         alpha = rng.uniform(0, 1, t_len)
         plan = integrate_and_fire(Tensor(np.ones((t_len, 1))),
-                                  Tensor(alpha), beta=1.0)
+                                  Tensor(alpha))
         tokens, firings, residue = sequential_cif_oracle(alpha, 1.0)
         assert plan.firings == firings
         assert plan.residue == residue
@@ -135,8 +134,7 @@ def test_criterion_3_cif_exactness():
                 < 1e-9
         target = int(rng.integers(1, max(2, t_len)))
         scaled = scale_weights(Tensor(alpha), target)
-        plan2 = integrate_and_fire(Tensor(np.ones((t_len, 1))), scaled,
-                                   beta=1.0)
+        plan2 = integrate_and_fire(Tensor(np.ones((t_len, 1))), scaled)
         scale_hits += int(plan2.num_fired == target)
     report(3, scale_hits == 1000,
            f"1000/1000 oracle-exact (indices, residue, weights); "
@@ -200,11 +198,10 @@ def test_criterion_5_serialization_round_trip():
                                                t.speaker)):
             truth.setdefault(t.speaker, []).append(t.token)
         for mode in (False, True):
-            target = serialize(stream, with_separator=mode,
-                               separator_id=cc if mode else None)
+            separator = cc if mode else None
+            target = serialize(stream, separator)
             grouped = deserialize(_Hyp(target.tokens, target.speaker_labels),
-                                  with_separator=mode,
-                                  separator_id=cc if mode else None)
+                                  separator)
             if grouped != truth:
                 failures += 1
             if mode:

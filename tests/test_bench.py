@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from saasr.bench import BenchResult, BenchRow, bench_rtf
+from saasr.bench import BENCH_REPEATS, BenchResult, BenchRow, bench_rtf
 from saasr.errors import ConfigError
 from saasr.model import (ArBaselineModel, ModelConfig, SaAsrModel,
                          save_checkpoint)
@@ -84,8 +84,8 @@ def test_bench_table_total_counts_every_repeat():
 
 def test_bench_ratio_is_median_of_per_repeat_ratios(checkpoints):
     nar, ar = checkpoints
-    row = bench_rtf(nar, ar, [3], seed=0, repeats=3).rows[0]
-    assert len(row.nar_s) == len(row.ar_s) == 3
+    row = bench_rtf(nar, ar, [3], seed=0).rows[0]
+    assert len(row.nar_s) == len(row.ar_s) == BENCH_REPEATS
     assert row.ratio == float(np.median(
         [a / n for a, n in zip(row.ar_s, row.nar_s)]))
 
@@ -97,16 +97,10 @@ def test_bench_rejects_non_positive_lengths(checkpoints, lengths):
         bench_rtf(nar, ar, lengths)
 
 
-def test_bench_rejects_zero_repeats(checkpoints):
-    nar, ar = checkpoints
-    with pytest.raises(ConfigError, match="repeat"):
-        bench_rtf(nar, ar, [2], repeats=0)
-
-
 def test_bench_warm_up_not_counted(checkpoints):
     nar, ar = checkpoints
-    result = bench_rtf(nar, ar, [2, 3], seed=0, repeats=2)
+    result = bench_rtf(nar, ar, [2, 3], seed=0)
     # 3 frames per output token at 8 ms; one entry per timed repeat only
     assert [row.audio_s for row in result.rows] == [6 * 8.0 / 1000, 9 * 8.0 / 1000]
     for row in result.rows:
-        assert len(row.nar_s) == len(row.ar_s) == 2
+        assert len(row.nar_s) == len(row.ar_s) == BENCH_REPEATS

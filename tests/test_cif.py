@@ -75,8 +75,7 @@ def test_predictor_gradient():
 
 def test_fire_spec_sequence():
     h = Tensor(np.eye(4))
-    plan = integrate_and_fire(h, Tensor([0.6, 0.5, 0.9, 1.0]),
-                              beta=1.0)
+    plan = integrate_and_fire(h, Tensor([0.6, 0.5, 0.9, 1.0]))
     assert plan.firings == [1, 2, 3]
     assert plan.residue == 0.0
     assert plan.num_fired == 3
@@ -97,7 +96,7 @@ def test_fire_all_zero_weights():
 
 def test_fire_single_full_frame():
     h = Tensor([[2.0, -1.0]])
-    plan = integrate_and_fire(h, Tensor([1.0]), beta=1.0)
+    plan = integrate_and_fire(h, Tensor([1.0]))
     assert plan.firings == [0]
     assert np.array_equal(plan.embeddings.data, h.data)
 
@@ -108,7 +107,7 @@ def test_fire_matches_oracle_on_random_sequences():
         t_len = int(rng.integers(1, 40))
         alpha = rng.uniform(0, 1, t_len)
         plan = integrate_and_fire(Tensor(np.ones((t_len, 1))),
-                                  Tensor(alpha), beta=1.0)
+                                  Tensor(alpha))
         tokens, firings, residue = cif_oracle(alpha, 1.0)
         assert plan.firings == firings
         assert plan.residue == residue
@@ -122,7 +121,7 @@ def test_fire_conserves_weight_and_row_sums():
         t_len = int(rng.integers(1, 30))
         alpha = rng.uniform(0, 1, t_len)
         plan = integrate_and_fire(Tensor(np.ones((t_len, 2))),
-                                  Tensor(alpha), beta=1.0)
+                                  Tensor(alpha))
         w = plan.frame_weights.data
         assert np.all(w >= 0)
         if plan.num_fired:
@@ -140,7 +139,7 @@ def test_fire_gradient_through_weights_and_frames():
     probe = rng.uniform(-1, 1, (int(np.floor(alpha0.sum())), 3))
 
     def loss():
-        plan = integrate_and_fire(h, alpha, beta=1.0)
+        plan = integrate_and_fire(h, alpha)
         return tsum(plan.embeddings * Tensor(probe))
 
     report = grad_check(loss, [Parameter("alpha", alpha), Parameter("h", h)],
@@ -175,7 +174,7 @@ def test_scale_weights_firing_count_equals_target():
         alpha = rng.uniform(0.01, 1, t_len)
         target = int(rng.integers(1, max(2, t_len)))
         scaled = scale_weights(Tensor(alpha), target)
-        plan = integrate_and_fire(Tensor(np.ones((t_len, 1))), scaled, beta=1.0)
+        plan = integrate_and_fire(Tensor(np.ones((t_len, 1))), scaled)
         assert plan.num_fired == target
 
 

@@ -368,6 +368,23 @@ def test_eval_corrupt_checkpoint_rank_exits_one(workspace, capsys):
     assert "rank 4278190082 does not match" in capsys.readouterr().err
 
 
+def test_eval_unknown_checkpoint_kind_exits_one(workspace, capsys):
+    from saasr.model import SaAsrModel, save_checkpoint
+    data_dir = workspace / "data"
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data_dir)])
+    ckpt = workspace / "model.ckpt"
+    save_checkpoint(ckpt, SaAsrModel(_small_model_config()))
+    blob = ckpt.read_bytes()
+    assert b'"kind": "nar"' in blob
+    # same length, so the header length field still holds
+    ckpt.write_bytes(blob.replace(b'"kind": "nar"', b'"kind": "xyz"', 1))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(data_dir)]) == 1
+    assert "error: unknown checkpoint kind 'xyz'" in capsys.readouterr().err
+
+
 def test_gen_data_unreadable_value_exits_one(workspace, capsys):
     (workspace / "bad.cfg").write_text("speakers_per_session = 3\n")
     assert main(["gen-data", "--config", str(workspace / "bad.cfg"),

@@ -7,7 +7,7 @@ import pytest
 
 from saasr.errors import ContractError
 from saasr.tsot import (SerializedTarget, TimedToken, deserialize, serialize,
-                        speaker_change_count, strip_separators)
+                        speaker_change_count)
 
 CC = 99  # reserved separator id used throughout these tests
 
@@ -28,7 +28,7 @@ def test_timed_token_validation():
 def test_serialize_single_speaker_sorted_no_separator():
     toks = [TimedToken(3, "a", 4, 6), TimedToken(1, "a", 0, 1),
             TimedToken(2, "a", 2, 3)]
-    out = serialize(toks, with_separator=True, separator_id=CC)
+    out = serialize(toks, CC)
     assert out.tokens == [1, 2, 3]
     assert out.speaker_labels == ["a", "a", "a"]
 
@@ -38,7 +38,7 @@ def test_serialize_interleaved_speakers_with_separator():
     # at each speaker change
     toks = [TimedToken(10, "A", 0, 1), TimedToken(11, "A", 2, 3),
             TimedToken(20, "B", 1, 2)]
-    out = serialize(toks, with_separator=True, separator_id=CC)
+    out = serialize(toks, CC)
     assert out.tokens == [10, CC, 20, CC, 11]
     assert out.speaker_labels == ["A", "B", "B", "A", "A"]
 
@@ -46,7 +46,7 @@ def test_serialize_interleaved_speakers_with_separator():
 def test_serialize_same_input_without_separator():
     toks = [TimedToken(10, "A", 0, 1), TimedToken(11, "A", 2, 3),
             TimedToken(20, "B", 1, 2)]
-    out = serialize(toks, with_separator=False)
+    out = serialize(toks)
     assert out.tokens == [10, 20, 11]
     assert out.speaker_labels == ["A", "B", "A"]
 
@@ -54,13 +54,13 @@ def test_serialize_same_input_without_separator():
 def test_serialize_tie_break_is_deterministic():
     toks = [TimedToken(5, "B", 1, 4), TimedToken(6, "A", 2, 4),
             TimedToken(7, "A", 1, 4)]
-    out = serialize(toks, with_separator=False)
+    out = serialize(toks)
     # equal end frames: order by (start_frame, speaker)
     assert out.tokens == [7, 5, 6]
 
 
 def test_serialize_empty_input():
-    out = serialize([], with_separator=True, separator_id=CC)
+    out = serialize([], CC)
     assert out.tokens == [] and out.speaker_labels == []
 
 
@@ -73,66 +73,39 @@ def test_separator_count_equals_speaker_changes():
             toks.append(TimedToken(int(rng.integers(0, 20)),
                                    f"s{int(rng.integers(0, 3))}",
                                    start, start + int(rng.integers(0, 5))))
-        out = serialize(toks, with_separator=True, separator_id=CC)
+        out = serialize(toks, CC)
         assert out.tokens.count(CC) == speaker_change_count(toks)
 
 
-def test_strip_separators():
-    t = SerializedTarget([1, CC, 2], ["a", "b", "b"], True, CC)
-    out = strip_separators(t)
-    assert out.tokens == [1, 2]
-    assert out.speaker_labels == ["a", "b"]
-    assert not out.has_separator
-
-
-def test_strip_separators_identity_when_absent():
-    t = SerializedTarget([1, 2], ["a", "b"], False)
-    out = strip_separators(t)
-    assert out.tokens == t.tokens and out.speaker_labels == t.speaker_labels
-
-
-def test_strip_length_drops_by_separator_count():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        toks = [TimedToken(int(rng.integers(0, 9)), f"s{int(rng.integers(0, 3))}",
-                           i, i + 1) for i in range(int(rng.integers(1, 10)))]
-        with_sep = serialize(toks, with_separator=True, separator_id=CC)
-        stripped = strip_separators(with_sep)
-        assert len(with_sep) - len(stripped) == with_sep.tokens.count(CC)
-
-
-def test_strip_equals_serializing_without():
+def test_plain_stream_is_separator_stream_without_separators():
+    # evaluation scores both modes against the plain stream
     rng = np.random.default_rng(2)
     for _ in range(100):
         toks = [TimedToken(int(rng.integers(0, 9)), f"s{int(rng.integers(0, 3))}",
                            int(rng.integers(0, 20)), int(rng.integers(20, 40)))
                 for _ in range(int(rng.integers(1, 10)))]
-        a = strip_separators(serialize(toks, with_separator=True, separator_id=CC))
-        b = serialize(toks, with_separator=False)
-        assert a.tokens == b.tokens and a.speaker_labels == b.speaker_labels
+        with_sep = serialize(toks, CC)
+        kept = [(tok, lab) for tok, lab in
+                zip(with_sep.tokens, with_sep.speaker_labels) if tok != CC]
+        plain = serialize(toks)
+        assert kept == list(zip(plain.tokens, plain.speaker_labels))
 
 
 def test_deserialize_groups_by_label_without_separator():
     hyp = FakeHyp([1, 2, 3, 4], ["a", "b", "a", "b"])
-    out = deserialize(hyp, with_separator=False)
+    out = deserialize(hyp)
     assert out == {"a": [1, 3], "b": [2, 4]}
-
-
-def test_deserialize_rejects_separator_in_plain_mode():
-    hyp = FakeHyp([1, CC, 2], ["a", "a", "b"])
-    with pytest.raises(ContractError, match="malformed"):
-        deserialize(hyp, with_separator=False, separator_id=CC)
 
 
 def test_deserialize_majority_vote_with_separator():
     hyp = FakeHyp([1, 2, 3, CC, 4], ["a", "b", "a", "a", "b"])
-    out = deserialize(hyp, with_separator=True, separator_id=CC)
+    out = deserialize(hyp, CC)
     assert out == {"a": [1, 2, 3], "b": [4]}
 
 
 def test_deserialize_majority_tie_takes_first_seen():
     hyp = FakeHyp([1, 2], ["b", "a"])
-    out = deserialize(hyp, with_separator=True, separator_id=CC)
+    out = deserialize(hyp, CC)
     assert out == {"b": [1, 2]}
 
 
@@ -148,12 +121,10 @@ def test_round_trip_identity_per_speaker():
                 toks.append(TimedToken(int(rng.integers(0, 30)), f"spk{s}",
                                        pos, pos + length))
                 pos += length + int(rng.integers(0, 3))
-        with_sep = bool(case % 2)
-        target = serialize(toks, with_separator=with_sep,
-                           separator_id=CC if with_sep else None)
+        separator = CC if case % 2 else None
+        target = serialize(toks, separator)
         hyp = FakeHyp(target.tokens, target.speaker_labels)
-        grouped = deserialize(hyp, with_separator=with_sep,
-                              separator_id=CC if with_sep else None)
+        grouped = deserialize(hyp, separator)
         for s in range(n_spk):
             own = sorted((t for t in toks if t.speaker == f"spk{s}"),
                          key=lambda t: (t.end_frame, t.start_frame, t.speaker))
@@ -170,7 +141,7 @@ def test_stable_merge_preserves_per_speaker_order():
                 toks.append(TimedToken(int(rng.integers(0, 30)), f"spk{s}",
                                        pos, pos + 2))
                 pos += int(rng.integers(2, 5))
-        out = serialize(toks, with_separator=False)
+        out = serialize(toks)
         for s in range(2):
             own_stream = [tok for tok, lab in
                           zip(out.tokens, out.speaker_labels) if lab == f"spk{s}"]
@@ -182,10 +153,8 @@ def test_stable_merge_preserves_per_speaker_order():
 
 def test_target_invariant_validation():
     with pytest.raises(ContractError):
-        SerializedTarget([CC, 1], ["a", "a"], True, CC)
+        SerializedTarget([CC, 1], ["a", "a"], CC)
     with pytest.raises(ContractError):
-        SerializedTarget([1, CC], ["a", "a"], True, CC)
+        SerializedTarget([1, CC], ["a", "a"], CC)
     with pytest.raises(ContractError):
-        SerializedTarget([1, CC, CC, 2], ["a", "b", "b", "b"], True, CC)
-    with pytest.raises(ContractError):
-        SerializedTarget([1, CC, 2], ["a", "b", "b"], False, CC)
+        SerializedTarget([1, CC, CC, 2], ["a", "b", "b", "b"], CC)

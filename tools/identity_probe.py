@@ -1,0 +1,49 @@
+"""Fixed-seed identity probe: train 10 epochs of the benchmark's ``train``
+data and recipe at seed 3, in both separator modes, and print the last
+epoch's total loss, ``validation_ce``, the ``evaluate`` summary and a hash
+of every parameter. Two trees that print the same lines train and score
+bit-identically on this recipe.
+
+    python3 tools/identity_probe.py            # this tree
+    python3 tools/identity_probe.py OTHER_TREE # another checkout's src/
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+SEED = 3
+EPOCHS = 10
+
+
+def main(argv) -> int:
+    tree = Path(argv[1] if len(argv) > 1 else Path(__file__).parent.parent)
+    sys.path[:0] = [str(tree / "src"), str(tree / "benchmark")]
+    from saasr.model import SaAsrModel
+    from saasr.training import evaluate, train, validation_ce
+    from workloads import train_config, train_dataset
+
+    dataset = train_dataset(SEED)
+    base = train_config(SEED)
+    for separator in (False, True):
+        cfg = replace(base, epochs=EPOCHS,
+                      model=replace(base.model, use_cc_separator=separator))
+        model = SaAsrModel(cfg.model, seed=cfg.seed)
+        manifest = train(cfg, dataset, init_model=model)
+        digest = hashlib.sha256()
+        for p in model.parameters():
+            digest.update(p.name.encode("utf-8"))
+            digest.update(p.tensor.data.tobytes())
+        print(f"use_cc_separator={separator}")
+        print(f"  last total {manifest.epoch_log[-1]['total']!r}")
+        print(f"  validation_ce {validation_ce(model, dataset)!r}")
+        print(f"  {evaluate(model, dataset).summary}")
+        print(f"  params {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
