@@ -9,6 +9,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .speaker import (SpeakerDecoder, SpeakerInventory, assign_speakers,
                       cosine_scores, fill_speakers, weighted_profile)
 from .tensor import Tensor, getitem, matmul, no_grad, softmax, transpose
 
-CHECKPOINT_MAGIC = b"SAPF2\n"
+CHECKPOINT_MAGIC = b"SAPF3\n"
 
 
 @dataclass
@@ -55,6 +56,10 @@ class ModelConfig:
                 f"got {self.sampling_factor_lambda}")
         if self.decoder_layers < 1 or self.speaker_encoder_layers < 1:
             raise ConfigError("layer counts must be positive")
+        if self.feature_dim < 1 or self.d_spk < 1:
+            raise ConfigError(
+                f"feature_dim and d_spk must be positive, got "
+                f"{self.feature_dim} and {self.d_spk}")
 
     @property
     def separator_id(self) -> int | None:
@@ -404,35 +409,33 @@ class ArBaselineModel(Module):
 
 # -- checkpoint format -------------------------------------------------------
 
+def _param_table(params) -> list:
+    """[name, shape] for each parameter, in order, as the header stores it."""
+    return [[p.name, list(p.tensor.data.shape)] for p in params]
+
+
 def save_checkpoint(path, model, extra: dict | None = None):
-    """Flat named-parameter file: magic, JSON header, then one (name, shape,
-    float64 payload) record per parameter. The header's ``config`` holds the
-    model config's flat key/value pairs, as config files write them.
+    """Magic, a u32 header length, a JSON header, then every parameter's
+    float64 values in ``model.parameters()`` order. The header holds the
+    model kind, the config's flat key/value pairs as config files write
+    them, and ``params``, the [name, shape] of each parameter in order.
 
     The file is written beside ``path`` and then renamed over it, so an
     interrupted save leaves the previous checkpoint whole."""
     kind = "ar" if isinstance(model, ArBaselineModel) else "nar"
-    header = {"kind": kind, "config": dict(config_pairs(model.cfg))}
-    if model.cfg.separator_id is not None:
-        header["separator_id"] = model.cfg.separator_id
+    params = model.parameters()
+    header = {"kind": kind, "config": dict(config_pairs(model.cfg)),
+              "params": _param_table(params)}
     if extra:
         header["extra"] = extra
-    params = model.parameters()
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
-            blob = json.dumps(header, sort_keys=True).encode("utf-8")
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
-            fh.write(struct.pack("<I", len(params)))
             for p in params:
-                name = p.name.encode("utf-8")
-                fh.write(struct.pack("<I", len(name)))
-                fh.write(name)
-                shape = p.tensor.data.shape
-                fh.write(struct.pack("<I", len(shape)))
-                fh.write(struct.pack(f"<{len(shape)}I", *shape))
                 fh.write(p.tensor.data.astype("<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -441,8 +444,9 @@ def save_checkpoint(path, model, extra: dict | None = None):
 
 
 def load_checkpoint(path):
-    """Returns (model, header). The model class follows the header kind.
-    A truncated or malformed file raises ContractError."""
+    """Returns (model, header). The model class follows the header kind,
+    and the header's parameter table must match that model's. A truncated
+    or malformed file raises ContractError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -452,41 +456,25 @@ def load_checkpoint(path):
         try:
             header = json.loads(blob.decode("utf-8"))
             cfg = config_from_pairs(ModelConfig, header["config"])
-            kind = header["kind"]
-        except (UnicodeDecodeError, json.JSONDecodeError, ConfigError,
-                KeyError, TypeError, AttributeError) as exc:
-            # TypeError and AttributeError: a header or config that is not
-            # a JSON object
+            kind, table = header["kind"], list(header["params"])
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+                ConfigError, KeyError, TypeError, AttributeError) as exc:
+            # RecursionError: deeply nested JSON; TypeError and
+            # AttributeError: a header or config that is not a JSON object
             raise ContractError(f"malformed checkpoint header: {exc}") from None
         if kind not in ("nar", "ar"):
             raise ContractError(f"unknown checkpoint kind {kind!r}")
         model = ArBaselineModel(cfg) if kind == "ar" else SaAsrModel(cfg)
-        by_name = {p.name: p.tensor for p in model.parameters()}
-        (n_params,) = read_u32s(fh, 1, "checkpoint parameter count")
-        seen = set()
-        for _ in range(n_params):
-            (nlen,) = read_u32s(fh, 1, "checkpoint parameter name length")
-            name = read_exact(fh, nlen, "checkpoint parameter name").decode(
-                "utf-8", "replace")
-            if name not in by_name:
-                raise ContractError(f"unknown parameter {name!r} in checkpoint")
-            (ndim,) = read_u32s(fh, 1, f"checkpoint rank of {name!r}")
-            if ndim != by_name[name].data.ndim:
-                raise ContractError(
-                    f"parameter {name!r} rank {ndim} does not match "
-                    f"model {by_name[name].data.ndim}")
-            shape = read_u32s(fh, ndim, f"checkpoint shape of {name!r}")
-            if by_name[name].data.shape != shape:
-                raise ContractError(
-                    f"parameter {name!r} shape {shape} does not match "
-                    f"model {by_name[name].data.shape}")
-            count = int(np.prod(shape))
-            payload = np.frombuffer(
-                read_exact(fh, 8 * count, f"checkpoint values of {name!r}"),
-                dtype="<f8")
-            by_name[name].data = payload.reshape(shape).astype(np.float64)
-            seen.add(name)
-        missing = set(by_name) - seen
-        if missing:
-            raise ContractError(f"checkpoint missing parameters: {sorted(missing)}")
+        params = model.parameters()
+        expected = _param_table(params)
+        if table != expected:
+            i, got, want = next((i, a, b) for i, (a, b) in enumerate(
+                zip_longest(table, expected)) if a != b)
+            raise ContractError(
+                f"checkpoint parameter {i} is {got}, model has {want}")
+        for p in params:
+            values = read_exact(fh, 8 * p.tensor.data.size,
+                                f"checkpoint values of {p.name!r}")
+            p.tensor.data = np.frombuffer(values, dtype="<f8").reshape(
+                p.tensor.data.shape).astype(np.float64)
     return model, header

@@ -94,7 +94,6 @@ class RunManifest:
     config: dict               # the TrainConfig's flat key/value pairs
     data_hash: str
     epoch_log: list = field(default_factory=list)
-    final_metrics: dict = field(default_factory=dict)
     diverged_at_step: int | None = None
     stopped_early_at_epoch: int | None = None
     infeasible_ctc_events: int = 0
@@ -258,8 +257,6 @@ def train(cfg: TrainConfig, dataset: Dataset,
             if stale_epochs >= cfg.early_stop_patience:
                 manifest.stopped_early_at_epoch = epoch
                 break
-    manifest.final_metrics["train_total"] = manifest.epoch_log[-1]["total"]
-    manifest.final_metrics["train_ce"] = manifest.epoch_log[-1]["ce"]
     manifest.wall_seconds = time.perf_counter() - started
     return manifest
 

@@ -1,10 +1,12 @@
 """Shared pytest wiring: surface acceptance-criterion results in the
 terminal summary, where output capture cannot swallow them; a writer of the
-previous checkpoint format; and a checkpoint corrupter."""
+previous checkpoint format; and a checkpoint header editor."""
 
 import json
 import struct
 from dataclasses import asdict
+
+from saasr.model import CHECKPOINT_MAGIC
 
 CRITERION_RESULTS = []
 
@@ -32,17 +34,15 @@ def write_sapf1_checkpoint(path, model):
             fh.write(p.tensor.data.astype("<f8").tobytes())
 
 
-def flip_first_rank_high_byte(path):
-    """Flip the high byte of the first parameter's rank field in a saved
-    checkpoint, so the rank reads about 4.3e9."""
-    blob = bytearray(path.read_bytes())
-    pos = 6                                      # past the magic
-    (hlen,) = struct.unpack("<I", blob[pos:pos + 4])
-    pos += 4 + hlen + 4                          # header, parameter count
-    (nlen,) = struct.unpack("<I", blob[pos:pos + 4])
-    pos += 4 + nlen                              # the first name
-    blob[pos + 3] ^= 0xFF
-    path.write_bytes(bytes(blob))
+def rewrite_checkpoint_header(path, edit):
+    """Replace the JSON header of a saved checkpoint with ``edit(header)``,
+    fixing its length field and keeping the payload."""
+    blob = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 4
+    (hlen,) = struct.unpack("<I", blob[start - 4:start])
+    new = json.dumps(edit(json.loads(blob[start:start + hlen]))).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(new)) + new
+                     + blob[start + hlen:])
 
 
 def record_criterion(criterion: int, passed: bool, detail: str):

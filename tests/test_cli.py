@@ -4,7 +4,7 @@ import json
 from dataclasses import fields, is_dataclass
 
 import pytest
-from conftest import flip_first_rank_high_byte, write_sapf1_checkpoint
+from conftest import rewrite_checkpoint_header, write_sapf1_checkpoint
 
 from saasr.cli import main, train_config_from_pairs
 from saasr.data import SynthSpec, parse_flat_config
@@ -88,8 +88,8 @@ def test_train_separator_mode_records_header(workspace):
         TRAIN_CFG + "model.use_cc_separator = true\n")
     assert main(["train", "--data", str(data_dir), "--out", str(run_dir),
                  "--config", str(workspace / "train_sep.cfg")]) == 0
-    _, header = load_checkpoint(run_dir / "model.ckpt")
-    assert header["separator_id"] == 11
+    model, _ = load_checkpoint(run_dir / "model.ckpt")
+    assert model.cfg.separator_id == 11
 
 
 def test_bench_command(workspace, capsys):
@@ -354,18 +354,25 @@ def test_train_corrupt_feature_length_exits_one(workspace, capsys):
     assert "error: truncated s000.feat values" in capsys.readouterr().err
 
 
-def test_eval_corrupt_checkpoint_rank_exits_one(workspace, capsys):
+def test_eval_checkpoint_shape_mismatch_exits_one(workspace, capsys):
     from saasr.model import SaAsrModel, save_checkpoint
     data_dir = workspace / "data"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
           "--out", str(data_dir)])
     ckpt = workspace / "model.ckpt"
     save_checkpoint(ckpt, SaAsrModel(_small_model_config()))
-    flip_first_rank_high_byte(ckpt)
+
+    def widen_first(header):
+        name, shape = header["params"][0]
+        header["params"][0] = [name, [shape[0], shape[1] + 1]]
+        return header
+
+    rewrite_checkpoint_header(ckpt, widen_first)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt),
                  "--data", str(data_dir)]) == 1
-    assert "rank 4278190082 does not match" in capsys.readouterr().err
+    assert "error: checkpoint parameter 0 is ['asr_input.w', [8, 9]], " \
+        "model has ['asr_input.w', [8, 8]]" in capsys.readouterr().err
 
 
 def test_eval_unknown_checkpoint_kind_exits_one(workspace, capsys):
@@ -497,6 +504,7 @@ def test_negative_seed_exits_one(workspace, capsys, command, line, flags):
     ("train", "model.attn.num_heads = 0", "attention dims must be positive"),
     ("train", "model.attn.model_dim = -4", "attention dims must be positive"),
     ("train", "model.attn.ff_dim = 0", "attention dims must be positive"),
+    ("train", "model.d_spk = -1", "feature_dim and d_spk must be positive"),
     ("train", "model.sampling_factor_lambda = nan",
      "sampling_factor_lambda must be finite and nonnegative"),
     ("train", "learning_rate = nan",

@@ -1,6 +1,5 @@
 """Model assembly: contracts, barriers, counters, sampler, checkpoints."""
 
-import json
 import struct
 
 import saasr.model
@@ -8,7 +7,7 @@ import saasr.nn
 
 import numpy as np
 import pytest
-from conftest import flip_first_rank_high_byte, write_sapf1_checkpoint
+from conftest import rewrite_checkpoint_header, write_sapf1_checkpoint
 
 from saasr.errors import ConfigError, ContractError
 from saasr.data import config_from_pairs, config_pairs
@@ -441,8 +440,8 @@ def test_checkpoint_round_trip(tmp_path):
     loaded, header = load_checkpoint(path)
     assert header["kind"] == "nar"
     assert header["extra"]["note"] == "round-trip"
-    assert header["separator_id"] == cfg.vocab_size - 1
     assert loaded.cfg == cfg
+    assert loaded.cfg.separator_id == cfg.vocab_size - 1
     for a, b in zip(model.parameters(), loaded.parameters()):
         assert a.name == b.name
         assert np.array_equal(a.tensor.data, b.tensor.data)
@@ -478,18 +477,6 @@ def test_checkpoint_header_holds_config_pairs(tmp_path):
     assert header["config"] == dict(config_pairs(cfg))
 
 
-def _rewrite_header_config(path, edit):
-    """Apply ``edit`` to the JSON header's config of a saved checkpoint."""
-    blob = path.read_bytes()
-    start = len(CHECKPOINT_MAGIC) + 4
-    (hlen,) = struct.unpack("<I", blob[start - 4:start])
-    header = json.loads(blob[start:start + hlen])
-    header["config"] = edit(header["config"])
-    new = json.dumps(header).encode("utf-8")
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(new)) + new
-                     + blob[start + hlen:])
-
-
 @pytest.mark.parametrize("edit", [
     lambda c: {**c, "attn.num_heads": "x"},
     lambda c: {**c, "attn.num_heads": "0"},
@@ -499,12 +486,15 @@ def _rewrite_header_config(path, edit):
     lambda c: {**c, "use_cc_separator": 1},
     lambda c: {**c, "vocab_size": 12.7},
     lambda c: list(c.items()),
+    lambda c: {**c, "feature_dim": "0"},
 ], ids=["unreadable", "zero-heads", "small-vocab", "unknown-key",
-        "missing-key", "non-string", "json-float", "not-a-dict"])
+        "missing-key", "non-string", "json-float", "not-a-dict",
+        "zero-feature-dim"])
 def test_checkpoint_rejects_malformed_header_config(tmp_path, edit):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, SaAsrModel(tiny_cfg(), seed=30))
-    _rewrite_header_config(path, edit)
+    rewrite_checkpoint_header(
+        path, lambda header: {**header, "config": edit(header["config"])})
     with pytest.raises(ContractError, match="malformed checkpoint header"):
         load_checkpoint(path)
 
@@ -516,12 +506,56 @@ def test_checkpoint_rejects_previous_format(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_corrupt_rank_before_reading_shape(tmp_path):
+def test_checkpoint_rejects_format_2_magic(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, SaAsrModel(tiny_cfg(), seed=32))
-    flip_first_rank_high_byte(path)
-    with pytest.raises(ContractError, match="rank 4278190082 does not match"):
+    blob = path.read_bytes()
+    path.write_bytes(b"SAPF2\n" + blob[len(CHECKPOINT_MAGIC):])
+    with pytest.raises(ContractError, match="bad magic b'SAPF2"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_deeply_nested_header(tmp_path):
+    path = tmp_path / "model.ckpt"
+    nested = b"[" * 100000
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(nested))
+                     + nested)
+    with pytest.raises(ContractError, match="malformed checkpoint header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("model_class", [SaAsrModel, ArBaselineModel])
+def test_checkpoint_reader_fuzz(tmp_path, model_class):
+    """Every truncation through the header, every 97th through the payload,
+    and 500 seeded byte flips in the header: each fails as ContractError or
+    loads the saved parameters bit for bit."""
+    model = model_class(tiny_cfg(), seed=35)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    blob = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 4
+    (hlen,) = struct.unpack("<I", blob[start - 4:start])
+    payload = start + hlen
+    for end in [*range(payload), *range(payload, len(blob), 97)]:
+        path.write_bytes(blob[:end])
+        with pytest.raises(ContractError):
+            load_checkpoint(path)
+    saved = model.parameters()
+    rng = np.random.default_rng(36)
+    for pos, flip in zip(rng.integers(0, payload, 500),
+                         rng.integers(1, 256, 500)):
+        flipped = bytearray(blob)
+        flipped[pos] ^= flip
+        path.write_bytes(flipped)
+        try:
+            loaded, _ = load_checkpoint(path)
+        except ContractError:
+            continue
+        params = loaded.parameters()
+        assert len(params) == len(saved)
+        for a, b in zip(saved, params):
+            assert a.name == b.name
+            assert np.array_equal(a.tensor.data, b.tensor.data), a.name
 
 
 class _FailingFile:

@@ -1,7 +1,8 @@
 """Fixed-seed identity probe: train 10 epochs of the benchmark's ``train``
 data and recipe at seed 3, in both separator modes, and print the last
-epoch's total loss, ``validation_ce``, the ``evaluate`` summary and a hash
-of every parameter. Two trees that print the same lines train and score
+epoch's total loss, ``validation_ce``, the ``evaluate`` summary, a hash of
+every parameter, and the same hash after a checkpoint save and load. Two
+trees that print the same lines train, score and round-trip checkpoints
 bit-identically on this recipe.
 
     python3 tools/identity_probe.py            # this tree
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,10 +21,18 @@ SEED = 3
 EPOCHS = 10
 
 
+def param_hash(model) -> str:
+    digest = hashlib.sha256()
+    for p in model.parameters():
+        digest.update(p.name.encode("utf-8"))
+        digest.update(p.tensor.data.tobytes())
+    return digest.hexdigest()
+
+
 def main(argv) -> int:
     tree = Path(argv[1] if len(argv) > 1 else Path(__file__).parent.parent)
     sys.path[:0] = [str(tree / "src"), str(tree / "benchmark")]
-    from saasr.model import SaAsrModel
+    from saasr.model import SaAsrModel, load_checkpoint, save_checkpoint
     from saasr.training import evaluate, train, validation_ce
     from workloads import train_config, train_dataset
 
@@ -33,15 +43,15 @@ def main(argv) -> int:
                       model=replace(base.model, use_cc_separator=separator))
         model = SaAsrModel(cfg.model, seed=cfg.seed)
         manifest = train(cfg, dataset, init_model=model)
-        digest = hashlib.sha256()
-        for p in model.parameters():
-            digest.update(p.name.encode("utf-8"))
-            digest.update(p.tensor.data.tobytes())
+        with tempfile.TemporaryDirectory() as tmp:
+            save_checkpoint(Path(tmp) / "model.ckpt", model)
+            loaded, _ = load_checkpoint(Path(tmp) / "model.ckpt")
         print(f"use_cc_separator={separator}")
         print(f"  last total {manifest.epoch_log[-1]['total']!r}")
         print(f"  validation_ce {validation_ce(model, dataset)!r}")
         print(f"  {evaluate(model, dataset).summary}")
-        print(f"  params {digest.hexdigest()}")
+        print(f"  params {param_hash(model)}")
+        print(f"  reloaded params {param_hash(loaded)}")
     return 0
 
 
