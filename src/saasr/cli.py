@@ -25,11 +25,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-data", help="generate a synthetic dataset")
     gen.add_argument("--config", help="flat key=value dataset spec file")
-    gen.add_argument("--out", required=True, help="output directory")
+    gen.add_argument("--out", required=True, help="output dataset file")
     gen.add_argument("--seed", type=int, help="override the spec seed")
 
-    tr = sub.add_parser("train", help="train a model on a dataset directory")
-    tr.add_argument("--data", required=True)
+    tr = sub.add_parser("train", help="train a model on a dataset")
+    tr.add_argument("--data", required=True, help="dataset file")
     tr.add_argument("--out", required=True,
                     help="output directory for checkpoint and manifest")
     tr.add_argument("--config", help="flat key=value training config file")
@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--data", required=True)
+    ev.add_argument("--data", required=True, help="dataset file")
     ev.add_argument("--out", help="write session-level score lines here")
 
     be = sub.add_parser("bench", help="parallel vs autoregressive latency")

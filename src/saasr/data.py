@@ -1,4 +1,5 @@
-"""Synthetic multi-speaker sessions and their on-disk layout.
+"""Synthetic multi-speaker sessions and the file layout of datasets and
+checkpoints.
 
 A session plants unit speaker profiles and per-token feature signatures so
 that both the token identity and the speaker identity of every frame are
@@ -9,6 +10,7 @@ to a target ratio. Speaker profile dimension equals the feature dimension.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import struct
@@ -22,7 +24,7 @@ from .errors import ConfigError, ContractError
 from .speaker import SpeakerInventory, SpeakerProfile
 from .tsot import TimedToken
 
-FEATURE_MAGIC = b"SAFT"
+DATASET_MAGIC = b"SADS1\n"
 OVERLAP_BAND = 0.08          # per-session acceptance band around the target
 OVERLAP_RETRIES = 60
 
@@ -327,42 +329,35 @@ def config_pairs(cfg) -> list:
     return pairs
 
 
-# -- on-disk layout ---------------------------------------------------------
+# -- file layout -------------------------------------------------------------
 #
-# <dir>/manifest.txt         flat key = value lines plus the session list
-# <dir>/<sid>.feat           binary: magic, u32 T, u32 F, row-major float64
-# <dir>/<sid>.tokens         text: "token speaker start end" per line
-# <dir>/<sid>.inv            text: "true_count K" then "id v1 .. vF" per line
+# A checkpoint or a dataset is one file: a magic line, a u32 header length, a
+# JSON header with sorted keys, then float64 arrays whose shapes the header
+# fixes, and nothing after the last array.
 
-def write_dataset(directory, dataset: Dataset):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = [f"{k} = {v}" for k, v in config_pairs(dataset.spec)]
-    lines.append("sessions = " + ",".join(s.session_id for s in dataset.sessions))
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
-    for sess in dataset.sessions:
-        t_len, dim = sess.features.shape
-        with open(directory / f"{sess.session_id}.feat", "wb") as fh:
-            fh.write(FEATURE_MAGIC)
-            fh.write(struct.pack("<II", t_len, dim))
-            fh.write(sess.features.astype("<f8").tobytes())
-        token_lines = [f"{t.token} {t.speaker} {t.start_frame} {t.end_frame}"
-                       for t in sess.tokens]
-        (directory / f"{sess.session_id}.tokens").write_text(
-            "\n".join(token_lines) + ("\n" if token_lines else ""))
-        inv_lines = [f"true_count {sess.inventory.true_count}"]
-        for p in sess.inventory.profiles:
-            inv_lines.append(p.id + " "
-                             + " ".join(repr(float(v)) for v in p.vector))
-        (directory / f"{sess.session_id}.inv").write_text(
-            "\n".join(inv_lines) + "\n")
+def write_record(path, magic: bytes, header: dict, arrays):
+    """Write the file beside ``path`` and then rename it over ``path``, so an
+    interrupted write leaves the previous file whole."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for array in arrays:
+                fh.write(array.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_exact(fh, count: int, what: str) -> bytes:
-    """Exactly ``count`` bytes of ``what`` from a binary file; a file that
-    ends first raises ContractError."""
+    """Exactly ``count`` bytes of ``what`` from a binary file; a negative
+    count, or a file that ends first, raises ContractError."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if count > left:
+    if not 0 <= count <= left:
         # checked before reading, so a corrupt length field cannot ask
         # for more memory than the file holds
         raise ContractError(
@@ -370,66 +365,95 @@ def read_exact(fh, count: int, what: str) -> bytes:
     return fh.read(count)
 
 
-def read_u32s(fh, count: int, what: str) -> tuple:
-    return struct.unpack(f"<{count}I", read_exact(fh, 4 * count, what))
-
-
-def _parse_text(path: Path, parse):
-    """``parse`` applied to a text file's lines; a file it cannot read
-    raises ContractError naming the file."""
+def read_header(fh, magic: bytes, what: str) -> dict:
+    """The header of a ``what`` file; leaves ``fh`` at the first array."""
+    found = fh.read(len(magic))
+    if found != magic:
+        raise ContractError(f"not a {what} file: bad magic {found!r}")
+    (hlen,) = struct.unpack("<I", read_exact(fh, 4, f"{what} header length"))
+    blob = read_exact(fh, hlen, f"{what} header")
     try:
-        return parse(path.read_text().splitlines())
-    except (ValueError, IndexError, ContractError) as exc:
-        raise ContractError(f"{path.name}: malformed ({exc})") from None
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:  # RecursionError: deeply nested JSON
+        raise ContractError(f"malformed {what} header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ContractError(f"malformed {what} header: not a JSON object")
+    return header
 
 
-def _parse_tokens(lines, vocab_size: int) -> list:
-    """One ``token speaker start end`` line per token. The last vocab slot
-    is the separator, never a spoken token."""
+def read_floats(fh, shape, what: str) -> np.ndarray:
+    values = read_exact(fh, 8 * math.prod(shape), what)
+    return np.frombuffer(values, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def read_end(fh, what: str):
+    if fh.read(1):
+        raise ContractError(f"{what} file has bytes after its last array")
+
+
+def write_dataset(path, dataset: Dataset):
+    """``dataset`` as one file. The header holds the spec's config pairs, the
+    dataset_hash and, per session, its id, frame count, ``[token, speaker,
+    start, end]`` tokens, true count and profile ids. The arrays are each
+    session's features, then its profile vectors, all feature_dim wide."""
+    entries = [{"id": s.session_id, "frames": s.frames,
+                "tokens": [[t.token, t.speaker, t.start_frame, t.end_frame]
+                           for t in s.tokens],
+                "true_count": s.inventory.true_count,
+                "profiles": [p.id for p in s.inventory.profiles]}
+               for s in dataset.sessions]
+    header = {"spec": dict(config_pairs(dataset.spec)),
+              "hash": dataset_hash(dataset), "sessions": entries}
+    write_record(path, DATASET_MAGIC, header,
+                 [a for s in dataset.sessions
+                  for a in (s.features, s.inventory.matrix())])
+
+
+def _typed(value, kind):
+    if type(value) is not kind:  # bool is an int, but not a count
+        raise TypeError(f"{value!r} is not of type {kind.__name__}")
+    return value
+
+
+def _read_session(fh, spec: SynthSpec, entry: dict) -> Session:
+    sid = _typed(entry["id"], str)
+    features = read_floats(fh, (_typed(entry["frames"], int),
+                                spec.feature_dim), f"features of {sid!r}")
     tokens = []
-    for line in lines:
-        tok, speaker, start, end = line.split()
-        tokens.append(TimedToken(int(tok), speaker, int(start), int(end)))
-        if not 0 <= tokens[-1].token < vocab_size - 1:
-            raise ValueError(f"token id {tok} outside 0..{vocab_size - 2}")
-    return tokens
+    for token, speaker, start, end in entry["tokens"]:
+        tokens.append(TimedToken(_typed(token, int), _typed(speaker, str),
+                                 _typed(start, int), _typed(end, int)))
+        # the last vocab slot is the separator, never a spoken token
+        if not 0 <= token < spec.vocab_size - 1:
+            raise ValueError(f"token id {token} outside "
+                             f"0..{spec.vocab_size - 2}")
+    ids = entry["profiles"]
+    vectors = read_floats(fh, (len(ids), spec.feature_dim),
+                          f"profiles of {sid!r}")
+    inventory = SpeakerInventory(
+        [SpeakerProfile(_typed(pid, str), v) for pid, v in zip(ids, vectors)],
+        _typed(entry["true_count"], int))
+    return Session(sid, features, tokens, inventory)
 
 
-def _parse_inventory(lines) -> SpeakerInventory:
-    """``true_count K``, then one ``id v1 .. vF`` line per profile."""
-    key, true_count = lines[0].split()
-    if key != "true_count":
-        raise ValueError(f"first line {lines[0]!r} is not 'true_count K'")
-    profiles = []
-    for line in lines[1:]:
-        speaker, *values = line.split()
-        profiles.append(SpeakerProfile(speaker,
-                                       np.array([float(v) for v in values])))
-    return SpeakerInventory(profiles, int(true_count))
-
-
-def read_dataset(directory) -> Dataset:
-    directory = Path(directory)
-    pairs = read_flat_config(directory / "manifest.txt")
-    if "sessions" not in pairs:
-        raise ContractError(f"{directory / 'manifest.txt'} has no sessions line")
-    session_ids = [s for s in pairs.pop("sessions").split(",") if s]
-    spec = config_from_pairs(SynthSpec, pairs)
-    sessions = []
-    for sid in session_ids:
-        with open(directory / f"{sid}.feat", "rb") as fh:
-            if fh.read(len(FEATURE_MAGIC)) != FEATURE_MAGIC:
-                raise ContractError(f"{sid}.feat: bad feature magic")
-            t_len, dim = read_u32s(fh, 2, f"{sid}.feat shape")
-            values = read_exact(fh, 8 * t_len * dim, f"{sid}.feat values")
-            features = np.frombuffer(values, dtype="<f8").reshape(
-                t_len, dim).copy()
-        tokens = _parse_text(directory / f"{sid}.tokens",
-                             lambda lines: _parse_tokens(lines, spec.vocab_size))
-        inventory = _parse_text(directory / f"{sid}.inv", _parse_inventory)
-        sessions.append(Session(session_id=sid, features=features, tokens=tokens,
-                                inventory=inventory))
-    return Dataset(spec=spec, sessions=sessions)
+def read_dataset(path) -> Dataset:
+    """A damaged file raises ContractError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            header = read_header(fh, DATASET_MAGIC, "dataset")
+            spec = config_from_pairs(SynthSpec, header["spec"])
+            dataset = Dataset(spec, [_read_session(fh, spec, entry)
+                                     for entry in header["sessions"]])
+            read_end(fh, "dataset")
+        if dataset_hash(dataset) != header["hash"]:
+            raise ContractError("content does not match the header's hash")
+    except KeyError as exc:
+        raise ContractError(f"{path}: dataset header lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        # ValueError covers ContractError and ConfigError
+        raise ContractError(f"{path}: {exc}") from None
+    return dataset
 
 
 def dataset_hash(dataset: Dataset) -> str:

@@ -4,18 +4,15 @@ greedy autoregressive baseline for latency comparison."""
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from pathlib import Path
 
 import numpy as np
 
 from .cif import WeightPredictor, integrate_and_fire, scale_weights
-from .data import config_from_pairs, config_pairs, read_exact, read_u32s
+from .data import (config_from_pairs, config_pairs, read_end, read_floats,
+                   read_header, write_record)
 from .errors import ConfigError, ContractError, ShapeError
 from .metrics import edit_align
 from .nn import (AttentionConfig, CrossBlock, DecoderLayer, Embedding,
@@ -415,32 +412,18 @@ def _param_table(params) -> list:
 
 
 def save_checkpoint(path, model, extra: dict | None = None):
-    """Magic, a u32 header length, a JSON header, then every parameter's
-    float64 values in ``model.parameters()`` order. The header holds the
-    model kind, the config's flat key/value pairs as config files write
-    them, and ``params``, the [name, shape] of each parameter in order.
-
-    The file is written beside ``path`` and then renamed over it, so an
-    interrupted save leaves the previous checkpoint whole."""
+    """Every parameter's float64 values in ``model.parameters()`` order, in
+    the file layout of ``saasr.data``. The header holds the model kind, the
+    config's flat key/value pairs as config files write them, and
+    ``params``, the [name, shape] of each parameter in order."""
     kind = "ar" if isinstance(model, ArBaselineModel) else "nar"
     params = model.parameters()
     header = {"kind": kind, "config": dict(config_pairs(model.cfg)),
               "params": _param_table(params)}
     if extra:
         header["extra"] = extra
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            for p in params:
-                fh.write(p.tensor.data.astype("<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_record(path, CHECKPOINT_MAGIC, header,
+                 (p.tensor.data for p in params))
 
 
 def load_checkpoint(path):
@@ -448,19 +431,12 @@ def load_checkpoint(path):
     and the header's parameter table must match that model's. A truncated
     or malformed file raises ContractError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ContractError(f"not a checkpoint file: bad magic {magic!r}")
-        (hlen,) = read_u32s(fh, 1, "checkpoint header length")
-        blob = read_exact(fh, hlen, "checkpoint header")
+        header = read_header(fh, CHECKPOINT_MAGIC, "checkpoint")
         try:
-            header = json.loads(blob.decode("utf-8"))
             cfg = config_from_pairs(ModelConfig, header["config"])
             kind, table = header["kind"], list(header["params"])
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError,
-                ConfigError, KeyError, TypeError, AttributeError) as exc:
-            # RecursionError: deeply nested JSON; TypeError and
-            # AttributeError: a header or config that is not a JSON object
+        except (ConfigError, KeyError, TypeError, AttributeError) as exc:
+            # TypeError, AttributeError: a config that is not a JSON object
             raise ContractError(f"malformed checkpoint header: {exc}") from None
         if kind not in ("nar", "ar"):
             raise ContractError(f"unknown checkpoint kind {kind!r}")
@@ -473,8 +449,7 @@ def load_checkpoint(path):
             raise ContractError(
                 f"checkpoint parameter {i} is {got}, model has {want}")
         for p in params:
-            values = read_exact(fh, 8 * p.tensor.data.size,
-                                f"checkpoint values of {p.name!r}")
-            p.tensor.data = np.frombuffer(values, dtype="<f8").reshape(
-                p.tensor.data.shape).astype(np.float64)
+            p.tensor.data = read_floats(fh, p.tensor.data.shape,
+                                        f"checkpoint values of {p.name!r}")
+        read_end(fh, "checkpoint")
     return model, header

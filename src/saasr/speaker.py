@@ -23,11 +23,11 @@ class SpeakerProfile:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=np.float64)
-        if not np.isfinite(v).all():
-            raise ContractError(f"profile {self.id!r} has non-finite values")
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ContractError(f"profile {self.id!r} has zero norm")
+        with np.errstate(over="ignore"):  # a huge value overflows to inf
+            norm = np.linalg.norm(v)
+        if not 0.0 < norm < np.inf:  # NaN too, from a non-finite value
+            raise ContractError(f"profile {self.id!r} has norm {norm}, "
+                                "not finite and positive")
         # skip the division for already-unit vectors so re-ingesting a
         # stored profile reproduces its bytes exactly
         if abs(norm - 1.0) > 1e-12:

@@ -1,10 +1,11 @@
 """End-to-end command-line flows on miniature configurations."""
 
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
+import numpy as np
 import pytest
-from conftest import rewrite_checkpoint_header, write_sapf1_checkpoint
+from conftest import rewrite_header, write_sapf1_checkpoint
 
 from saasr.cli import main, train_config_from_pairs
 from saasr.data import SynthSpec, parse_flat_config
@@ -47,13 +48,13 @@ def workspace(tmp_path):
 
 
 def test_gen_train_eval_flow(workspace, capsys):
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     run_dir = workspace / "run"
     assert main(["gen-data", "--config", str(workspace / "data.cfg"),
-                 "--out", str(data_dir)]) == 0
-    assert (data_dir / "manifest.txt").exists()
+                 "--out", str(data)]) == 0
+    assert data.is_file()
 
-    assert main(["train", "--data", str(data_dir), "--out", str(run_dir),
+    assert main(["train", "--data", str(data), "--out", str(run_dir),
                  "--config", str(workspace / "train.cfg")]) == 0
     assert (run_dir / "model.ckpt").exists()
     manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -61,7 +62,7 @@ def test_gen_train_eval_flow(workspace, capsys):
 
     out_file = workspace / "scores.txt"
     assert main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
-                 "--data", str(data_dir), "--out", str(out_file)]) == 0
+                 "--data", str(data), "--out", str(out_file)]) == 0
     text = out_file.read_text()
     assert "SD-CER" in text and "session=" in text
     printed = capsys.readouterr().out
@@ -69,40 +70,39 @@ def test_gen_train_eval_flow(workspace, capsys):
 
 
 def test_gen_data_seed_override(workspace):
-    a = workspace / "da"
-    b = workspace / "db"
+    a = workspace / "a.sads"
+    b = workspace / "b.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
           "--out", str(a), "--seed", "9"])
     main(["gen-data", "--config", str(workspace / "data.cfg"),
           "--out", str(b), "--seed", "9"])
-    assert (a / "manifest.txt").read_bytes() == (b / "manifest.txt").read_bytes()
-    assert (a / "s000.feat").read_bytes() == (b / "s000.feat").read_bytes()
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_train_separator_mode_records_header(workspace):
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     run_dir = workspace / "run_sep"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
+          "--out", str(data)])
     (workspace / "train_sep.cfg").write_text(
         TRAIN_CFG + "model.use_cc_separator = true\n")
-    assert main(["train", "--data", str(data_dir), "--out", str(run_dir),
+    assert main(["train", "--data", str(data), "--out", str(run_dir),
                  "--config", str(workspace / "train_sep.cfg")]) == 0
     model, _ = load_checkpoint(run_dir / "model.ckpt")
     assert model.cfg.separator_id == 11
 
 
 def test_bench_command(workspace, capsys):
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
+          "--out", str(data)])
     nar_dir = workspace / "nar"
-    main(["train", "--data", str(data_dir), "--out", str(nar_dir),
+    main(["train", "--data", str(data), "--out", str(nar_dir),
           "--config", str(workspace / "train.cfg")])
     # an autoregressive twin at the same dims
     from saasr.data import read_dataset
     from saasr.model import ArBaselineModel, save_checkpoint
-    ds = read_dataset(data_dir)
+    ds = read_dataset(data)
     cfg = train_config_from_pairs(
         parse_flat_config((workspace / "train.cfg").read_text()), ds.spec)
     ar_path = workspace / "ar.ckpt"
@@ -139,11 +139,11 @@ def test_unknown_flag_exits_two():
 
 
 def test_config_errors_exit_one(workspace, capsys):
-    data_dir = workspace / "data2"
+    data = workspace / "data2.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
+          "--out", str(data)])
     (workspace / "bad.cfg").write_text("bogus_key = 1\n")
-    code = main(["train", "--data", str(data_dir),
+    code = main(["train", "--data", str(data),
                  "--out", str(workspace / "o2"),
                  "--config", str(workspace / "bad.cfg")])
     assert code == 1
@@ -162,29 +162,29 @@ def _small_model_config():
 @pytest.mark.parametrize("keep", ["half", 8])
 def test_eval_truncated_checkpoint_exits_one(workspace, capsys, keep):
     from saasr.model import SaAsrModel, save_checkpoint
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
+          "--out", str(data)])
     ckpt = workspace / "model.ckpt"
     save_checkpoint(ckpt, SaAsrModel(_small_model_config()))
     blob = ckpt.read_bytes()
     ckpt.write_bytes(blob[:len(blob) // 2 if keep == "half" else keep])
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt),
-                 "--data", str(data_dir)]) == 1
+                 "--data", str(data)]) == 1
     assert "error: truncated checkpoint" in capsys.readouterr().err
 
 
 def test_eval_autoregressive_checkpoint_exits_one(workspace, capsys):
     from saasr.model import ArBaselineModel, save_checkpoint
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
+          "--out", str(data)])
     ckpt = workspace / "ar.ckpt"
     save_checkpoint(ckpt, ArBaselineModel(_small_model_config()))
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt),
-                 "--data", str(data_dir)]) == 1
+                 "--data", str(data)]) == 1
     assert "ArBaselineModel" in capsys.readouterr().err
 
 
@@ -201,14 +201,14 @@ def test_missing_input_exits_one(workspace, capsys, argv):
 
 def test_eval_previous_checkpoint_format_exits_one(workspace, capsys):
     from saasr.model import SaAsrModel
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
+          "--out", str(data)])
     ckpt = workspace / "old.ckpt"
     write_sapf1_checkpoint(ckpt, SaAsrModel(_small_model_config()))
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt),
-                 "--data", str(data_dir)]) == 1
+                 "--data", str(data)]) == 1
     assert "error: not a checkpoint file: bad magic b'SAPF1" in \
         capsys.readouterr().err
 
@@ -224,141 +224,178 @@ def test_bench_bad_lengths_exit_one(workspace, capsys, lengths):
     assert "error:" in capsys.readouterr().err
 
 
-def _damage_session(data_dir, damage):
-    """Rewrite session s000 of a generated dataset with one bad input."""
-    import struct
-
-    import numpy as np
-
-    from saasr.data import FEATURE_MAGIC, read_dataset
-    features = read_dataset(data_dir).sessions[0].features
-    if damage == "feature_dim":
-        features = features[:, :-1]
-    elif damage == "no_frames":
-        features = features[:0]
-    elif damage == "nan":
-        features[2, 3] = np.nan
-    elif damage == "profile_dim":
-        inv = data_dir / "s000.inv"
-        head, *rows = inv.read_text().splitlines()
-        inv.write_text("\n".join([head] + [r.rsplit(" ", 1)[0] for r in rows])
-                       + "\n")
-    t_len, dim = features.shape
-    (data_dir / "s000.feat").write_bytes(
-        FEATURE_MAGIC + struct.pack("<II", t_len, dim)
-        + features.astype("<f8").tobytes())
-
-
 @pytest.mark.parametrize("damage, message", [
-    ("feature_dim", "features must be frames x 8"),
+    ("feature_dim", "feature_dim mismatch: data 7 vs model 8"),
     ("no_frames", "features have no frames"),
     ("nan", "features contain non-finite values"),
     ("profile_dim", "speaker profile 's000_spk0' has shape (7,)"),
 ])
 def test_eval_bad_session_input_exits_one(workspace, capsys, damage, message):
+    from saasr.data import read_dataset, write_dataset
     from saasr.model import SaAsrModel, save_checkpoint
-    data_dir = workspace / "data"
+    # a dataset holds features and profiles at its spec's feature_dim, so
+    # widths the model does not expect come from a model of other dims;
+    # test_training checks features narrower than their spec's
+    width = 7 if damage in ("feature_dim", "profile_dim") else 8
+    (workspace / "data.cfg").write_text(DATA_CFG + f"feature_dim = {width}\n")
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
-    _damage_session(data_dir, damage)
+          "--out", str(data)])
+    ds = read_dataset(data)
+    if damage == "no_frames":
+        ds.sessions[0].features = ds.sessions[0].features[:0]
+    elif damage == "nan":
+        ds.sessions[0].features[2, 3] = np.nan
+    write_dataset(data, ds)
+    cfg = _small_model_config()
+    if damage == "profile_dim":
+        cfg = replace(cfg, feature_dim=7)
     ckpt = workspace / "model.ckpt"
-    save_checkpoint(ckpt, SaAsrModel(_small_model_config()))
+    save_checkpoint(ckpt, SaAsrModel(cfg))
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt),
-                 "--data", str(data_dir)]) == 1
+                 "--data", str(data)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("keep", ["half", 8])
 def test_train_truncated_features_exit_one(workspace, capsys, keep):
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
-    feat = data_dir / "s000.feat"
-    blob = feat.read_bytes()
-    feat.write_bytes(blob[:len(blob) // 2 if keep == "half" else keep])
+          "--out", str(data)])
+    blob = data.read_bytes()
+    data.write_bytes(blob[:len(blob) // 2 if keep == "half" else keep])
     capsys.readouterr()
-    assert main(["train", "--data", str(data_dir),
+    assert main(["train", "--data", str(data),
                  "--out", str(workspace / "run"),
                  "--config", str(workspace / "train.cfg")]) == 1
-    assert "error: truncated s000.feat" in capsys.readouterr().err
+    assert f"error: {data}: truncated " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, row, bad", [
-    ("s001.inv", 1, "s001_spk0 0.5 oops"),
-    ("s001.inv", 0, "true_count"),
-    ("s001.tokens", 0, "3 s001_spk0 4"),
-    ("s001.tokens", 0, "12 s001_spk0 0 2"),   # the separator slot
-    ("s001.tokens", 0, "-1 s001_spk0 0 2"),
-    ("s001.inv", 1, "s001_spk0 nan"),
-    ("s001.inv", 1, "s001_spk0 inf"),
-    ("s001.tokens", None, ""),                 # an empty file: no tokens
-])
-def test_train_malformed_text_file_exits_one(workspace, capsys, name, row, bad):
-    data_dir = workspace / "data"
+def _damage_dataset(path, damage):
+    """Give session s001 of the dataset at ``path`` one bad input: through
+    its header, or through write_dataset for values the header does not
+    hold."""
+    from saasr.data import read_dataset, write_dataset
+
+    def edit(header):
+        session = header["sessions"][1]
+        token = session["tokens"][0]
+        if damage == "profile-id-not-text":
+            session["profiles"][0] = 0.5
+        elif damage == "no-true-count":
+            del session["true_count"]
+        elif damage == "float-true-count":
+            session["true_count"] = 2.0
+        elif damage == "short-token":
+            session["tokens"][0] = token[:3]
+        elif damage == "changed-token":
+            token[0] = (token[0] + 1) % 11
+        else:
+            token[0] = {"separator-token": 11, "negative-token": -1}[damage]
+        return header
+
+    bad_value = {"nan-profile": np.nan, "inf-profile": np.inf,
+                 "overflowing-profile": 1e200}
+    if damage in bad_value or damage == "no-tokens":
+        ds = read_dataset(path)
+        if damage == "no-tokens":
+            ds.sessions[1].tokens = []
+        else:
+            ds.sessions[1].inventory.profiles[0].vector[0] = bad_value[damage]
+        write_dataset(path, ds)
+    elif damage == "trailing-bytes":
+        path.write_bytes(path.read_bytes() + b"\0")
+    else:
+        rewrite_header(path, edit)
+
+
+# what the error line says for each damage; None: no tokens to train on
+DAMAGE_MESSAGES = {
+    "profile-id-not-text": "0.5 is not of type str",
+    "no-true-count": "dataset header lacks 'true_count'",
+    "float-true-count": "2.0 is not of type int",
+    "short-token": "not enough values to unpack",
+    "separator-token": "token id 11 outside 0..10",
+    "negative-token": "token id -1 outside 0..10",
+    "changed-token": "content does not match the header's hash",
+    "nan-profile": "profile 's001_spk0' has norm nan",
+    "inf-profile": "profile 's001_spk0' has norm inf",
+    "overflowing-profile": "profile 's001_spk0' has norm inf",
+    "trailing-bytes": "dataset file has bytes after its last array",
+    "no-tokens": None,
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE_MESSAGES)
+def test_train_damaged_dataset_exits_one(workspace, capsys, damage):
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
-    lines = []
-    if row is not None:
-        lines = (data_dir / name).read_text().splitlines()
-        lines[row] = bad
-    (data_dir / name).write_text("".join(line + "\n" for line in lines))
+          "--out", str(data)])
+    _damage_dataset(data, damage)
     capsys.readouterr()
-    assert main(["train", "--data", str(data_dir),
+    assert main(["train", "--data", str(data),
                  "--out", str(workspace / "run"),
                  "--config", str(workspace / "train.cfg")]) == 1
     err = capsys.readouterr().err
-    if row is None:
+    if DAMAGE_MESSAGES[damage] is None:
         assert "error: session 's001' has no target tokens" in err
         assert "diverged" not in err
     else:
-        assert f"error: {name}: malformed" in err
+        assert err.startswith(f"error: {data}: ")
+        assert DAMAGE_MESSAGES[damage] in err
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
 def test_non_utf8_config_or_manifest_exits_one(workspace, capsys, command):
     from saasr.model import SaAsrModel, save_checkpoint
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
+          "--out", str(data)])
     if command == "eval":
-        culprit = data_dir / "manifest.txt"
-        culprit.write_bytes(culprit.read_bytes() + b"# \xff\n")
+        # the same length, so the header length field still holds
+        culprit = data
+        culprit.write_bytes(culprit.read_bytes().replace(
+            b'"s000"', b'"s00\xff"', 1))
         ckpt = workspace / "model.ckpt"
         save_checkpoint(ckpt, SaAsrModel(_small_model_config()))
-        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)]
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data)]
     else:
         culprit = workspace / "bad.cfg"
         culprit.write_bytes(b"seed = 1\xff\n")
-        inputs = [] if command == "gen-data" else ["--data", str(data_dir)]
+        inputs = [] if command == "gen-data" else ["--data", str(data)]
         argv = [command, *inputs, "--out", str(workspace / "out"),
                 "--config", str(culprit)]
     capsys.readouterr()
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: {culprit}: not UTF-8 text")
+    message = ("malformed dataset header: 'utf-8' codec" if command == "eval"
+               else "not UTF-8 text")
+    assert capsys.readouterr().err.startswith(f"error: {culprit}: {message}")
 
 
 def test_train_corrupt_feature_length_exits_one(workspace, capsys):
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
-    feat = data_dir / "s000.feat"
-    blob = bytearray(feat.read_bytes())
-    blob[7] ^= 0xFF              # the high byte of the frame count
-    feat.write_bytes(bytes(blob))
+          "--out", str(data)])
+
+    def lengthen(header):
+        header["sessions"][0]["frames"] ^= 0xFF << 24
+        return header
+
+    rewrite_header(data, lengthen)
     capsys.readouterr()
-    assert main(["train", "--data", str(data_dir),
+    assert main(["train", "--data", str(data),
                  "--out", str(workspace / "run"),
                  "--config", str(workspace / "train.cfg")]) == 1
-    assert "error: truncated s000.feat values" in capsys.readouterr().err
+    assert f"error: {data}: truncated features of 's000'" in \
+        capsys.readouterr().err
 
 
 def test_eval_checkpoint_shape_mismatch_exits_one(workspace, capsys):
     from saasr.model import SaAsrModel, save_checkpoint
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
+          "--out", str(data)])
     ckpt = workspace / "model.ckpt"
     save_checkpoint(ckpt, SaAsrModel(_small_model_config()))
 
@@ -367,19 +404,19 @@ def test_eval_checkpoint_shape_mismatch_exits_one(workspace, capsys):
         header["params"][0] = [name, [shape[0], shape[1] + 1]]
         return header
 
-    rewrite_checkpoint_header(ckpt, widen_first)
+    rewrite_header(ckpt, widen_first)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt),
-                 "--data", str(data_dir)]) == 1
+                 "--data", str(data)]) == 1
     assert "error: checkpoint parameter 0 is ['asr_input.w', [8, 9]], " \
         "model has ['asr_input.w', [8, 8]]" in capsys.readouterr().err
 
 
 def test_eval_unknown_checkpoint_kind_exits_one(workspace, capsys):
     from saasr.model import SaAsrModel, save_checkpoint
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
+          "--out", str(data)])
     ckpt = workspace / "model.ckpt"
     save_checkpoint(ckpt, SaAsrModel(_small_model_config()))
     blob = ckpt.read_bytes()
@@ -388,7 +425,7 @@ def test_eval_unknown_checkpoint_kind_exits_one(workspace, capsys):
     ckpt.write_bytes(blob.replace(b'"kind": "nar"', b'"kind": "xyz"', 1))
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt),
-                 "--data", str(data_dir)]) == 1
+                 "--data", str(data)]) == 1
     assert "error: unknown checkpoint kind 'xyz'" in capsys.readouterr().err
 
 
@@ -400,17 +437,16 @@ def test_gen_data_unreadable_value_exits_one(workspace, capsys):
 
 
 def test_train_manifest_without_sessions_exits_one(workspace, capsys):
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
-    manifest = data_dir / "manifest.txt"
-    manifest.write_text("".join(line for line in manifest.read_text()
-                                .splitlines(keepends=True)
-                                if not line.startswith("sessions")))
+          "--out", str(data)])
+    rewrite_header(data, lambda header: {key: value for key, value
+                                         in header.items()
+                                         if key != "sessions"})
     capsys.readouterr()
-    assert main(["train", "--data", str(data_dir),
+    assert main(["train", "--data", str(data),
                  "--out", str(workspace / "run")]) == 1
-    assert "no sessions line" in capsys.readouterr().err
+    assert "dataset header lacks 'sessions'" in capsys.readouterr().err
 
 
 EVERY_TRAIN_FIELD = """
@@ -469,12 +505,12 @@ def test_train_config_file_sets_every_field():
     ("model.use_cc_separator = maybe", "cannot read 'maybe'"),
 ])
 def test_train_bad_config_line_exits_one(workspace, capsys, line, message):
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
+          "--out", str(data)])
     (workspace / "bad.cfg").write_text(line + "\n")
     capsys.readouterr()
-    assert main(["train", "--data", str(data_dir),
+    assert main(["train", "--data", str(data),
                  "--out", str(workspace / "run"),
                  "--config", str(workspace / "bad.cfg")]) == 1
     err = capsys.readouterr().err
@@ -488,12 +524,12 @@ def test_train_bad_config_line_exits_one(workspace, capsys, line, message):
     ("train", "", ["--seed", "-3"]),
 ])
 def test_negative_seed_exits_one(workspace, capsys, command, line, flags):
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
+          "--out", str(data)])
     (workspace / "seed.cfg").write_text(line + "\n")
     capsys.readouterr()
-    inputs = ([] if command == "gen-data" else ["--data", str(data_dir)])
+    inputs = ([] if command == "gen-data" else ["--data", str(data)])
     assert main([command, *inputs, "--out", str(workspace / "out"),
                  "--config", str(workspace / "seed.cfg"), *flags]) == 1
     err = capsys.readouterr().err
@@ -517,12 +553,12 @@ def test_negative_seed_exits_one(workspace, capsys, command, line, flags):
 ])
 def test_out_of_range_config_value_exits_one(workspace, capsys, command,
                                              line, message):
-    data_dir = workspace / "data"
+    data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
-          "--out", str(data_dir)])
+          "--out", str(data)])
     (workspace / "bad.cfg").write_text(line + "\n")
     capsys.readouterr()
-    inputs = ([] if command == "gen-data" else ["--data", str(data_dir)])
+    inputs = ([] if command == "gen-data" else ["--data", str(data)])
     assert main([command, *inputs, "--out", str(workspace / "out"),
                  "--config", str(workspace / "bad.cfg")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")

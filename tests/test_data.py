@@ -4,12 +4,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import fuzz_reader
 
 from saasr.data import (SynthSpec, config_from_pairs, config_pairs,
                         dataset_hash, generate_dataset, generate_session,
                         measured_overlap, parse_flat_config, read_dataset,
                         write_dataset)
-from saasr.errors import ConfigError
+from saasr.errors import ConfigError, ContractError
 from saasr.training import TrainConfig
 
 
@@ -87,15 +88,43 @@ def test_profile_pool_excludes_own_session():
 
 def test_dataset_round_trip_is_byte_identical(tmp_path):
     ds = generate_dataset(small_spec())
-    dir1 = tmp_path / "a"
-    dir2 = tmp_path / "b"
-    write_dataset(dir1, ds)
-    loaded = read_dataset(dir1)
-    write_dataset(dir2, loaded)
-    for f1 in sorted(dir1.iterdir()):
-        f2 = dir2 / f1.name
-        assert f1.read_bytes() == f2.read_bytes(), f1.name
+    write_dataset(tmp_path / "a.sads", ds)
+    loaded = read_dataset(tmp_path / "a.sads")
+    write_dataset(tmp_path / "b.sads", loaded)
+    assert (tmp_path / "a.sads").read_bytes() == \
+        (tmp_path / "b.sads").read_bytes()
     assert dataset_hash(loaded) == dataset_hash(ds)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["a.sads", "b.sads"]
+
+
+def test_dataset_session_id_is_not_a_file_name(tmp_path):
+    ds = generate_dataset(small_spec(num_sessions=2))
+    ds.sessions[0].session_id = "a/b\x00c"
+    write_dataset(tmp_path / "d.sads", ds)
+    loaded = read_dataset(tmp_path / "d.sads")
+    assert loaded.sessions[0].session_id == "a/b\x00c"
+    assert dataset_hash(loaded) == dataset_hash(ds)
+
+
+def test_dataset_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "d.sads"
+    write_dataset(path, generate_dataset(small_spec(num_sessions=2)))
+    path.write_bytes(path.read_bytes() + b"garbage" * 1000)
+    with pytest.raises(ContractError, match="bytes after its last array"):
+        read_dataset(path)
+
+
+def test_dataset_reader_fuzz(tmp_path):
+    """A damaged dataset fails as ContractError or reads back equal to the
+    saved one."""
+    ds = generate_dataset(small_spec(num_sessions=2, feature_dim=3))
+    path = tmp_path / "d.sads"
+    write_dataset(path, ds)
+
+    def check(loaded):
+        assert dataset_hash(loaded) == dataset_hash(ds)
+
+    fuzz_reader(path, read_dataset, check, seed=38)
 
 
 def test_dataset_hash_sensitive_to_content():

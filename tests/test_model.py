@@ -2,12 +2,12 @@
 
 import struct
 
-import saasr.model
+import saasr.data
 import saasr.nn
 
 import numpy as np
 import pytest
-from conftest import rewrite_checkpoint_header, write_sapf1_checkpoint
+from conftest import fuzz_reader, rewrite_header, write_sapf1_checkpoint
 
 from saasr.errors import ConfigError, ContractError
 from saasr.data import config_from_pairs, config_pairs
@@ -493,7 +493,7 @@ def test_checkpoint_header_holds_config_pairs(tmp_path):
 def test_checkpoint_rejects_malformed_header_config(tmp_path, edit):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, SaAsrModel(tiny_cfg(), seed=30))
-    rewrite_checkpoint_header(
+    rewrite_header(
         path, lambda header: {**header, "config": edit(header["config"])})
     with pytest.raises(ContractError, match="malformed checkpoint header"):
         load_checkpoint(path)
@@ -526,36 +526,32 @@ def test_checkpoint_rejects_deeply_nested_header(tmp_path):
 
 @pytest.mark.parametrize("model_class", [SaAsrModel, ArBaselineModel])
 def test_checkpoint_reader_fuzz(tmp_path, model_class):
-    """Every truncation through the header, every 97th through the payload,
-    and 500 seeded byte flips in the header: each fails as ContractError or
-    loads the saved parameters bit for bit."""
+    """A damaged checkpoint fails as ContractError or loads the saved
+    parameters bit for bit, under the parameter table that was saved."""
     model = model_class(tiny_cfg(), seed=35)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model)
-    blob = path.read_bytes()
-    start = len(CHECKPOINT_MAGIC) + 4
-    (hlen,) = struct.unpack("<I", blob[start - 4:start])
-    payload = start + hlen
-    for end in [*range(payload), *range(payload, len(blob), 97)]:
-        path.write_bytes(blob[:end])
-        with pytest.raises(ContractError):
-            load_checkpoint(path)
     saved = model.parameters()
-    rng = np.random.default_rng(36)
-    for pos, flip in zip(rng.integers(0, payload, 500),
-                         rng.integers(1, 256, 500)):
-        flipped = bytearray(blob)
-        flipped[pos] ^= flip
-        path.write_bytes(flipped)
-        try:
-            loaded, _ = load_checkpoint(path)
-        except ContractError:
-            continue
+    _, header = load_checkpoint(path)
+
+    def check(result):
+        loaded, loaded_header = result
+        assert loaded_header["params"] == header["params"]
         params = loaded.parameters()
         assert len(params) == len(saved)
         for a, b in zip(saved, params):
             assert a.name == b.name
             assert np.array_equal(a.tensor.data, b.tensor.data), a.name
+
+    fuzz_reader(path, load_checkpoint, check, seed=36)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, SaAsrModel(tiny_cfg(), seed=37))
+    path.write_bytes(path.read_bytes() + b"garbage" * 1000)
+    with pytest.raises(ContractError, match="bytes after its last array"):
+        load_checkpoint(path)
 
 
 class _FailingFile:
@@ -581,7 +577,7 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
     previous = SaAsrModel(tiny_cfg(), seed=33)
     save_checkpoint(path, previous)
-    monkeypatch.setattr(saasr.model, "open",
+    monkeypatch.setattr(saasr.data, "open",
                         lambda file, mode: _FailingFile(open(file, mode)),
                         raising=False)
     with pytest.raises(OSError, match="no space"):

@@ -35,6 +35,12 @@ def test_profile_rejects_zero_vector():
         SpeakerProfile("z", np.zeros(4))
 
 
+def test_profile_rejects_overflowing_norm():
+    # the norm of a huge but finite vector overflows to inf
+    with pytest.raises(ContractError, match="norm inf"):
+        SpeakerProfile("a", np.array([1e200, 1.0, 2.0]))
+
+
 def test_inventory_rejects_duplicate_ids():
     p = SpeakerProfile("a", np.array([1.0, 0.0]))
     q = SpeakerProfile("a", np.array([0.0, 1.0]))

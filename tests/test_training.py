@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from saasr.data import SynthSpec, config_from_pairs, generate_dataset
-from saasr.errors import ConfigError, ContractError
+from saasr.errors import ConfigError, ContractError, ShapeError
 from saasr.losses import LossWeights, ce_loss, ctc_loss
 from saasr.model import ModelConfig, SaAsrModel, load_checkpoint
 from saasr.nn import AttentionConfig
@@ -140,6 +140,15 @@ def test_evaluate_rejects_vocab_mismatch():
     train(cfg, ds, init_model=model)
     with pytest.raises(ConfigError, match="vocab"):
         evaluate(model, other)
+
+
+def test_evaluate_rejects_features_of_another_width():
+    # a dataset file cannot hold these: its reader takes the spec's width
+    ds = tiny_dataset()
+    ds.sessions[0].features = ds.sessions[0].features[:, :-1]
+    model = SaAsrModel(tiny_train_cfg(ds).model, seed=0)
+    with pytest.raises(ShapeError, match="features must be frames x 8"):
+        evaluate(model, ds)
 
 
 def test_evaluate_produces_session_lines_and_summary():

@@ -1,9 +1,11 @@
-"""Fixed-seed identity probe: train 10 epochs of the benchmark's ``train``
-data and recipe at seed 3, in both separator modes, and print the last
-epoch's total loss, ``validation_ce``, the ``evaluate`` summary, a hash of
-every parameter, and the same hash after a checkpoint save and load. Two
-trees that print the same lines train, score and round-trip checkpoints
-bit-identically on this recipe.
+"""Fixed-seed identity probe: write the benchmark's ``train`` data at seed 3
+with ``write_dataset`` and print its ``dataset_hash`` and that of the copy
+``read_dataset`` reads back; then train 10 epochs of it and of the
+benchmark's recipe, in both separator modes, and print the last epoch's
+total loss, ``validation_ce``, the ``evaluate`` summary, a hash of every
+parameter, and the same hash after a checkpoint save and load. Two trees
+that print the same lines store datasets, train, score and round-trip
+checkpoints bit-identically on this recipe.
 
     python3 tools/identity_probe.py            # this tree
     python3 tools/identity_probe.py OTHER_TREE # another checkout's src/
@@ -32,11 +34,18 @@ def param_hash(model) -> str:
 def main(argv) -> int:
     tree = Path(argv[1] if len(argv) > 1 else Path(__file__).parent.parent)
     sys.path[:0] = [str(tree / "src"), str(tree / "benchmark")]
+    from saasr.data import dataset_hash, read_dataset, write_dataset
     from saasr.model import SaAsrModel, load_checkpoint, save_checkpoint
     from saasr.training import evaluate, train, validation_ce
     from workloads import train_config, train_dataset
 
     dataset = train_dataset(SEED)
+    with tempfile.TemporaryDirectory() as tmp:
+        # a name that write_dataset takes as a new directory or a new file
+        write_dataset(Path(tmp) / "data", dataset)
+        reloaded = read_dataset(Path(tmp) / "data")
+    print(f"dataset {dataset_hash(dataset)} "
+          f"reloaded {dataset_hash(reloaded)}")
     base = train_config(SEED)
     for separator in (False, True):
         cfg = replace(base, epochs=EPOCHS,
