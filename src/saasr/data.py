@@ -348,16 +348,21 @@ def write_record(path, magic: bytes, header: dict, arrays):
             for array in arrays:
                 fh.write(array.astype("<f8").tobytes())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            # name the file asked for, not the temp file beside it
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
 def read_exact(fh, count: int, what: str) -> bytes:
     """Exactly ``count`` bytes of ``what`` from a binary file; a negative
     count, or a file that ends first, raises ContractError."""
+    if count < 0:
+        raise ContractError(f"{what} has negative length: {count} bytes")
     left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if not 0 <= count <= left:
+    if count > left:
         # checked before reading, so a corrupt length field cannot ask
         # for more memory than the file holds
         raise ContractError(

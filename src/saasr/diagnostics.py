@@ -54,7 +54,8 @@ def _block_checks(rng):
     q = Tensor(rng.uniform(-1, 1, (2, 8)), requires_grad=True)
     kv = Tensor(rng.uniform(-1, 1, (3, 8)))
     checks.append(("multi_head_attention",
-                   lambda: tsum(mha(q, kv, kv) * mha(q, kv, kv)),
+                   lambda: tsum(mha(q, mha.memory(kv, kv))
+                                * mha(q, mha.memory(kv, kv))),
                    mha.named_parameters("mha") + [Parameter("q", q)]))
 
     qa, ka, va = (Tensor(rng.uniform(-1, 1, (3, 8)), requires_grad=True)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor import Tensor, getitem, graph_node, log_softmax, neg, tmean, tsum
+from .tensor import (Tensor, getitem, graph_node, log_softmax, neg,
+                     shifted_logits, tmean, tsum)
 
 # infeasible CTC instances contribute this finite penalty during training
 # instead of poisoning the batch with an infinity
@@ -69,7 +70,8 @@ def ctc_loss(frame_logits: Tensor, target) -> Tensor:
     frames, computed by the forward algorithm in log space.
 
     The blank symbol is the last logit column. An infeasible
-    instance (too few frames) yields an infinite loss rather than an error.
+    instance (too few frames) yields an infinite loss rather than an error;
+    non-finite logits raise ContractError.
     """
     logits = frame_logits.data
     if logits.ndim != 2:
@@ -94,7 +96,7 @@ def ctc_loss(frame_logits: Tensor, target) -> Tensor:
     for s in range(2, s_len):
         skip[s] = ext[s] != blank and ext[s] != ext[s - 2]
 
-    shift = logits - logits.max(axis=1, keepdims=True)
+    shift = shifted_logits(logits, 1, "ctc_loss")
     logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
 
     alpha = np.full((t_len, s_len), -np.inf)

@@ -117,6 +117,13 @@ def encode_frames(x: Tensor, input_proj: Linear, layers,
     return h, tapped
 
 
+def decoder_memories(model, h_asr: Tensor) -> list:
+    """Each of ``model``'s decoder blocks' cross-attention keys and values,
+    projected from the encoder frames once for any number of passes."""
+    return ([model.dec_first.memory(h_asr, h_asr)]
+            + [layer.memory(h_asr) for layer in model.dec_layers])
+
+
 def glancing_sample(e_a: Tensor, y_true, y_first, token_embed: Embedding,
                     sampling_factor: float, seed: int):
     """Replace a number of acoustic embedding rows with ground-truth token
@@ -196,17 +203,14 @@ class SaAsrModel(Module):
 
     # -- decoder ---------------------------------------------------------
 
-    def asr_decode(self, e: Tensor, h_asr: Tensor,
-                   d_bar: Tensor | None) -> Tensor:
+    def asr_decode(self, e: Tensor, memories: list, d_bar: Tensor) -> Tensor:
         """One parallel decoder pass over all token positions (no causal
-        mask)."""
+        mask) against the blocks' ``memories``."""
         self.decoder_calls += 1
-        fusion = None
-        if d_bar is not None and d_bar.data.shape[0] > 0:
-            fusion = matmul(d_bar, transpose(self.w_spk))
-        e = self.dec_first(e, h_asr, h_asr, fusion)
-        for layer in self.dec_layers:
-            e = layer(e, h_asr)
+        fusion = matmul(d_bar, transpose(self.w_spk))
+        e = self.dec_first(e, memories[0], fusion)
+        for layer, mem in zip(self.dec_layers, memories[1:]):
+            e = layer(e, mem)
         return self.out_proj(e)
 
     # -- speaker path -------------------------------------------------------
@@ -277,8 +281,9 @@ class SaAsrModel(Module):
             raise ContractError("one speaker index per target token required")
         f = self.front(x, inv, target_len=len(y_true), fill_to=fill_to,
                        fill_seed=fill_seed)
+        memories = decoder_memories(self, f.h_asr)  # shared by both passes
         with no_grad():
-            first_logits = self.asr_decode(f.e_a, f.h_asr, f.d_bar)
+            first_logits = self.asr_decode(f.e_a, memories, f.d_bar)
         if first_tokens_override is not None:
             first_tokens = list(first_tokens_override)
         else:
@@ -287,7 +292,7 @@ class SaAsrModel(Module):
         e_s, n_replaced = glancing_sample(
             f.e_a, y_true, first_tokens, self.token_embed,
             self.cfg.sampling_factor_lambda, sampler_seed)
-        second_logits = self.asr_decode(e_s, f.h_asr, f.d_bar)
+        second_logits = self.asr_decode(e_s, memories, f.d_bar)
         return ForwardTrace(
             front=f, first_pass_logits=first_logits,
             first_pass_tokens=first_tokens, e_s=e_s,
@@ -304,7 +309,8 @@ class SaAsrModel(Module):
         with no_grad():
             f = self.front(x, genuine)
             speaker_ids = assign_speakers(f.speaker_attention, genuine)
-            logits = self.asr_decode(f.e_a, f.h_asr, f.d_bar)
+            logits = self.asr_decode(f.e_a, decoder_memories(self, f.h_asr),
+                                     f.d_bar)
             if logits.data.shape[0] == 0:
                 return Hypothesis([], [], [])
             posterior = softmax(logits, axis=1).data
@@ -341,12 +347,6 @@ class ArBaselineModel(Module):
         h, _ = encode_frames(x, self.asr_input, self.asr_layers)
         return h
 
-    def memories(self, h_asr: Tensor) -> list:
-        """The encoder frames projected into each decoder block's
-        cross-attention keys and values, first block first."""
-        return ([self.dec_first.memory(h_asr, h_asr)]
-                + [layer.memory(h_asr) for layer in self.dec_layers])
-
     def decode_prefix(self, prefix_ids, memories: list,
                       last_only: bool = False) -> Tensor:
         """One causally masked decoder pass over the whole prefix against the
@@ -372,7 +372,7 @@ class ArBaselineModel(Module):
         """Single causally masked pass; position i predicts target i, with a
         trailing end-of-sequence slot."""
         return self.decode_prefix([self.bos_id] + list(y_true),
-                                  self.memories(self.encode(x)))
+                                  decoder_memories(self, self.encode(x)))
 
     def greedy_infer(self, x: Tensor, inv: SpeakerInventory, max_len: int,
                      forbid_eos: bool = False) -> Hypothesis:
@@ -384,7 +384,7 @@ class ArBaselineModel(Module):
         if max_len < 1:
             raise ContractError(f"max_len must be >= 1, got {max_len}")
         with no_grad():
-            memories = self.memories(self.encode(x))
+            memories = decoder_memories(self, self.encode(x))
             tokens: list = []
             confidences: list = []
             while len(tokens) < max_len:

@@ -154,15 +154,13 @@ class MultiHeadAttention(Module):
         self._check_dims(k=k, v=v)
         return Memory(self.wk(k), self.wv(v))
 
-    def __call__(self, q: Tensor, k: Tensor | Memory, v: Tensor | None = None,
+    def __call__(self, q: Tensor, mem: Memory,
                  mask: np.ndarray | None = None) -> Tensor:
-        """Attend from ``q`` to the key and value inputs ``k`` and ``v``, or
-        to ``k`` given as their ``Memory`` (``v`` is then ignored)."""
+        """Attend from ``q`` to the keys and values of ``mem``, made by
+        ``memory``."""
         self._check_dims(q=q)
-        q = self.wq(q)
-        mem = k if isinstance(k, Memory) else self.memory(k, v)
-        return self.wo(attention_core(q, mem.k, mem.v, self.cfg.num_heads,
-                                      mask))
+        return self.wo(attention_core(self.wq(q), mem.k, mem.v,
+                                      self.cfg.num_heads, mask))
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -244,13 +242,10 @@ class CrossBlock(Module):
                 f"{k.data.shape[0]} vs {v.data.shape[0]}")
         return self.cross_mha.memory(k, v)
 
-    def __call__(self, q: Tensor, k: Tensor | Memory, v: Tensor | None = None,
+    def __call__(self, q: Tensor, mem: Memory,
                  fusion: Tensor | None = None) -> Tensor:
-        """``k`` and ``v`` are the key and value streams, or ``k`` is their
-        ``Memory`` from ``memory``."""
-        if not isinstance(k, Memory):
-            k = self.memory(k, v)
-        e = q + self.cross_mha(q, k)
+        """``mem`` holds the key and value streams, from ``memory``."""
+        e = q + self.cross_mha(q, mem)
         ff_in = e if fusion is None else e + fusion
         return e + self.ff(ff_in)
 
@@ -265,7 +260,7 @@ class EncoderLayer(Module):
         self.ln2 = LayerNorm(cfg.model_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = self.ln1(x + self.mha(x, x, x))
+        x = self.ln1(x + self.mha(x, self.mha.memory(x, x)))
         return self.ln2(x + self.ff(x))
 
 
@@ -283,10 +278,10 @@ class DecoderLayer(Module):
     def memory(self, mem: Tensor) -> Memory:
         return self.cross_mha.memory(mem, mem)
 
-    def __call__(self, x: Tensor, mem: Tensor | Memory,
+    def __call__(self, x: Tensor, mem: Memory,
                  self_mask: np.ndarray | None = None,
                  query_rows: slice | None = None) -> Tensor:
-        """``mem`` is the encoder output or its ``Memory`` from ``memory``.
+        """``mem`` is the encoder output's ``Memory`` from ``memory``.
         ``query_rows`` computes only those rows of the output; every row of
         ``x`` is still a key and value of the self-attention."""
         q = x
@@ -294,8 +289,9 @@ class DecoderLayer(Module):
             q = getitem(x, query_rows)
             if self_mask is not None:
                 self_mask = self_mask[query_rows]
-        q = self.ln_self(q + self.self_mha(q, x, x, mask=self_mask))
-        q = self.ln1(q + self.cross_mha(q, mem, mem))
+        q = self.ln_self(q + self.self_mha(q, self.self_mha.memory(x, x),
+                                           mask=self_mask))
+        q = self.ln1(q + self.cross_mha(q, mem))
         return self.ln2(q + self.ff(q))
 
 

@@ -75,8 +75,8 @@ class SpeakerDecoder(Module):
         self.layer2 = DecoderLayer(cfg, rng)
 
     def __call__(self, e_a: Tensor, h_asr: Tensor, h_spk: Tensor) -> Tensor:
-        e_as = self.layer1(e_a, h_asr, h_spk)
-        return self.layer2(e_as, h_spk)
+        e_as = self.layer1(e_a, self.layer1.memory(h_asr, h_spk))
+        return self.layer2(e_as, self.layer2.memory(h_spk))
 
 
 def cosine_scores(q: Tensor, inv: SpeakerInventory) -> Tensor:

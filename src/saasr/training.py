@@ -16,7 +16,8 @@ from .errors import ConfigError, ContractError
 from .losses import (CTC_INFEASIBLE_PENALTY, LossWeights, ce_loss,
                      composite_loss, ctc_loss, speaker_loss)
 from .metrics import EditCounts, SDCERReport, edit_align, sd_cer
-from .model import ModelConfig, SaAsrModel, save_checkpoint
+from .model import (ModelConfig, SaAsrModel, decoder_memories,
+                    save_checkpoint)
 from .speaker import add_interfering
 from .tensor import Tensor, no_grad
 from .tsot import deserialize, serialize
@@ -190,18 +191,27 @@ def train(cfg: TrainConfig, dataset: Dataset,
     params = model.parameters()
     opt = Adam(params, lr=cfg.learning_rate, warmup_steps=cfg.warmup_steps)
     items = prepare_batch_items(dataset, cfg)
-    for item in items:
-        # inside the loop, a ContractError from bad data would read as
-        # divergence at step one
-        model.check_inputs(item.features, item.inventory)
-        if not item.target_tokens:
-            raise ContractError(
-                f"session {item.session_id!r} has no target tokens")
     fill_to = None
     if cfg.fill_speakers_enabled:
         # one slot past the largest augmented inventory, so every session
         # sees at least one disturbance column
         fill_to = max(it.inventory.size for it in items) + 1
+    for item in items:
+        # inside the loop, bad data would read as divergence at step one,
+        # so each session's loss must be finite before any step
+        if not item.target_tokens:
+            raise ContractError(
+                f"session {item.session_id!r} has no target tokens")
+        try:
+            with no_grad():
+                total = session_losses(model, item, cfg.loss,
+                                       fill_to)[0].total.item()
+        except ContractError as exc:
+            raise ContractError(
+                f"session {item.session_id!r}: {exc}") from None
+        if not math.isfinite(total):
+            raise ContractError(f"session {item.session_id!r} has a "
+                                f"non-finite loss {total} before training")
 
     manifest = RunManifest(config=dict(config_pairs(cfg)),
                            data_hash=dataset_hash(dataset))
@@ -323,7 +333,8 @@ def validation_ce(model: SaAsrModel, dataset: Dataset) -> float:
             tokens = serialize(sess.tokens, model.cfg.separator_id).tokens
             f = model.front(Tensor(sess.features), sess.inventory,
                             target_len=len(tokens))
-            logits = model.asr_decode(f.e_a, f.h_asr, f.d_bar)
+            logits = model.asr_decode(
+                f.e_a, decoder_memories(model, f.h_asr), f.d_bar)
             total += ce_loss(logits, tokens).item() * len(tokens)
             count += len(tokens)
     return total / max(count, 1)

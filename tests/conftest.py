@@ -1,11 +1,9 @@
 """Shared pytest wiring: surface acceptance-criterion results in the
-terminal summary, where output capture cannot swallow them; a writer of the
-previous checkpoint format; a header editor and a reader fuzz for
-checkpoint and dataset files."""
+terminal summary, where output capture cannot swallow them; a header editor
+and a reader fuzz for checkpoint and dataset files."""
 
 import json
 import struct
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,29 +11,6 @@ import pytest
 from saasr.errors import ContractError
 
 CRITERION_RESULTS = []
-
-
-def write_sapf1_checkpoint(path, model):
-    """Write ``model`` in the previous checkpoint format, SAPF1: its header
-    held the config as nested dicts, and the speaker decoder's first
-    cross-attention was named ``layer1.mha``."""
-    header = json.dumps({"kind": "nar", "config": asdict(model.cfg)},
-                        sort_keys=True).encode("utf-8")
-    params = model.parameters()
-    with open(path, "wb") as fh:
-        fh.write(b"SAPF1\n")
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<I", len(params)))
-        for p in params:
-            name = p.name.replace("layer1.cross_mha.", "layer1.mha.")
-            name = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name)))
-            fh.write(name)
-            shape = p.tensor.data.shape
-            fh.write(struct.pack("<I", len(shape)))
-            fh.write(struct.pack(f"<{len(shape)}I", *shape))
-            fh.write(p.tensor.data.astype("<f8").tobytes())
 
 
 def _header_span(blob):

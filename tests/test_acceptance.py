@@ -5,12 +5,13 @@ criteria (6, 8, 9) dominate the runtime; everything else finishes in
 seconds.
 """
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from test_cif import cif_oracle, oracle_matrix
+from test_losses import ctc_enumeration_oracle
 
 from saasr.bench import bench_rtf
 from saasr.cif import integrate_and_fire, scale_weights
@@ -49,23 +50,6 @@ def test_criterion_1_gradient_suite():
 
 # -- 2: CTC oracle equivalence ----------------------------------------------------
 
-def ctc_path_oracle(logits, target, blank):
-    shift = logits - logits.max(axis=1, keepdims=True)
-    logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
-    t_len, width = logp.shape
-    total = 0.0
-    for path in itertools.product(range(width), repeat=t_len):
-        collapsed = []
-        prev = None
-        for s in path:
-            if s != prev and s != blank:
-                collapsed.append(s)
-            prev = s
-        if collapsed == list(target):
-            total += math.exp(sum(logp[t, path[t]] for t in range(t_len)))
-    return -math.log(total) if total > 0 else math.inf
-
-
 def test_criterion_2_ctc_oracle_equivalence():
     rng = np.random.default_rng(42)
     t0 = time.perf_counter()
@@ -78,7 +62,7 @@ def test_criterion_2_ctc_oracle_equivalence():
         target = list(rng.integers(0, vocab, size=l_len))
         logits = rng.uniform(-2, 2, (t_len, vocab + 1))
         loss = ctc_loss(Tensor(logits), target)
-        expected = ctc_path_oracle(logits, target, blank=vocab)
+        expected = ctc_enumeration_oracle(logits, target, blank=vocab)
         if math.isinf(expected):
             assert math.isinf(loss.item())
         else:
@@ -92,27 +76,6 @@ def test_criterion_2_ctc_oracle_equivalence():
 
 # -- 3: CIF exactness ---------------------------------------------------------------
 
-def sequential_cif_oracle(alpha, beta):
-    tokens, firings, cur, acc = [], [], {}, 0.0
-    for t, a in enumerate(alpha):
-        if acc + a >= beta:
-            need = beta - acc
-            cur[t] = need
-            tokens.append(cur)
-            firings.append(t)
-            rem = a - need
-            while rem >= beta:
-                tokens.append({t: beta})
-                firings.append(t)
-                rem -= beta
-            cur = {t: rem} if rem > 0 else {}
-            acc = rem if rem > 0 else 0.0
-        else:
-            cur[t] = a
-            acc += a
-    return tokens, firings, acc
-
-
 def test_criterion_3_cif_exactness():
     rng = np.random.default_rng(7)
     scale_hits = 0
@@ -121,14 +84,11 @@ def test_criterion_3_cif_exactness():
         alpha = rng.uniform(0, 1, t_len)
         plan = integrate_and_fire(Tensor(np.ones((t_len, 1))),
                                   Tensor(alpha))
-        tokens, firings, residue = sequential_cif_oracle(alpha, 1.0)
+        tokens, firings, residue = cif_oracle(alpha, 1.0)
         assert plan.firings == firings
         assert plan.residue == residue
-        expected = np.zeros((len(tokens), t_len))
-        for n, row in enumerate(tokens):
-            for t, v in row.items():
-                expected[n, t] = v
-        assert np.array_equal(plan.frame_weights.data, expected)
+        assert np.array_equal(plan.frame_weights.data,
+                              oracle_matrix(tokens, t_len))
         if plan.num_fired:
             assert np.max(np.abs(plan.frame_weights.data.sum(axis=1) - 1.0)) \
                 < 1e-9

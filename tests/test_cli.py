@@ -5,7 +5,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from conftest import rewrite_header, write_sapf1_checkpoint
+from conftest import rewrite_header
 
 from saasr.cli import main, train_config_from_pairs
 from saasr.data import SynthSpec, parse_flat_config
@@ -199,13 +199,23 @@ def test_missing_input_exits_one(workspace, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_data_into_missing_directory_names_the_path(workspace, capsys):
+    out = workspace / "nodir" / "d.sads"
+    assert main(["gen-data", "--config", str(workspace / "data.cfg"),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err
+    assert ".tmp" not in err
+
+
 def test_eval_previous_checkpoint_format_exits_one(workspace, capsys):
-    from saasr.model import SaAsrModel
+    from saasr.model import CHECKPOINT_MAGIC, SaAsrModel, save_checkpoint
     data = workspace / "data.sads"
     main(["gen-data", "--config", str(workspace / "data.cfg"),
           "--out", str(data)])
     ckpt = workspace / "old.ckpt"
-    write_sapf1_checkpoint(ckpt, SaAsrModel(_small_model_config()))
+    save_checkpoint(ckpt, SaAsrModel(_small_model_config()))
+    ckpt.write_bytes(b"SAPF1\n" + ckpt.read_bytes()[len(CHECKPOINT_MAGIC):])
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt),
                  "--data", str(data)]) == 1
@@ -344,6 +354,23 @@ def test_train_damaged_dataset_exits_one(workspace, capsys, damage):
     else:
         assert err.startswith(f"error: {data}: ")
         assert DAMAGE_MESSAGES[damage] in err
+
+
+def test_train_huge_features_exit_one_naming_the_session(workspace, capsys):
+    # finite features whose attention scores overflow are bad input, not
+    # a run that diverged
+    data = workspace / "data.sads"
+    (workspace / "data.cfg").write_text(DATA_CFG + "noise_std = 1e200\n")
+    main(["gen-data", "--config", str(workspace / "data.cfg"),
+          "--out", str(data)])
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        assert main(["train", "--data", str(data),
+                     "--out", str(workspace / "run"),
+                     "--config", str(workspace / "train.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: session 's000': ")
+    assert "diverged" not in err
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])

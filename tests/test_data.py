@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import fuzz_reader
+from conftest import fuzz_reader, rewrite_header
 
 from saasr.data import (SynthSpec, config_from_pairs, config_pairs,
                         dataset_hash, generate_dataset, generate_session,
@@ -111,6 +111,20 @@ def test_dataset_rejects_trailing_bytes(tmp_path):
     write_dataset(path, generate_dataset(small_spec(num_sessions=2)))
     path.write_bytes(path.read_bytes() + b"garbage" * 1000)
     with pytest.raises(ContractError, match="bytes after its last array"):
+        read_dataset(path)
+
+
+def test_dataset_rejects_negative_frame_count(tmp_path):
+    path = tmp_path / "d.sads"
+    write_dataset(path, generate_dataset(small_spec(num_sessions=2)))
+
+    def edit(header):
+        header["sessions"][0]["frames"] = -3
+        return header
+
+    rewrite_header(path, edit)
+    with pytest.raises(ContractError,
+                       match="features of 's000' has negative length"):
         read_dataset(path)
 
 

@@ -128,6 +128,15 @@ def test_ctc_rejects_blank_in_target():
         ctc_loss(Tensor(np.zeros((3, 4))), [0, 3])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ctc_rejects_non_finite_logits(bad):
+    logits = np.zeros((4, 4))
+    logits[1, 2] = bad
+    with pytest.raises(ContractError, match="ctc_loss input contains "
+                                            "non-finite values"):
+        ctc_loss(Tensor(logits), [0, 2])
+
+
 def test_ctc_gradient():
     rng = np.random.default_rng(5)
     logits = Tensor(rng.uniform(-1, 1, (5, 4)), requires_grad=True)

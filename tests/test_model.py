@@ -7,13 +7,13 @@ import saasr.nn
 
 import numpy as np
 import pytest
-from conftest import fuzz_reader, rewrite_header, write_sapf1_checkpoint
+from conftest import fuzz_reader, rewrite_header
 
 from saasr.errors import ConfigError, ContractError
 from saasr.data import config_from_pairs, config_pairs
 from saasr.model import (CHECKPOINT_MAGIC, ArBaselineModel, ModelConfig,
-                         SaAsrModel, glancing_sample, load_checkpoint,
-                         save_checkpoint)
+                         SaAsrModel, decoder_memories, glancing_sample,
+                         load_checkpoint, save_checkpoint)
 from saasr.nn import AttentionConfig
 from saasr.speaker import SpeakerInventory, SpeakerProfile
 from saasr.tensor import Tensor, matmul, transpose, tsum
@@ -111,15 +111,16 @@ def test_speaker_encode_shape_and_determinism():
 # -- decoder ---------------------------------------------------------------------
 
 def test_decoder_zero_fusion_matches_no_fusion():
-    cfg = tiny_cfg()
+    cfg = tiny_cfg(decoder_layers=1)
     model = SaAsrModel(cfg, seed=3)
     model.w_spk.data[:] = 0.0
     x = random_features(9, cfg)
     h, _ = model.asr_encode(x)
+    memories = decoder_memories(model, h)
     e = Tensor(np.random.default_rng(4).uniform(-1, 1, (4, 8)))
     d_bar = Tensor(np.random.default_rng(5).uniform(-1, 1, (4, cfg.d_spk)))
-    with_fusion = model.asr_decode(e, h, d_bar)
-    without = model.asr_decode(e, h, None)
+    with_fusion = model.asr_decode(e, memories, d_bar)
+    without = model.out_proj(model.dec_first(e, memories[0]))
     assert np.array_equal(with_fusion.data, without.data)
 
 
@@ -130,7 +131,7 @@ def test_decoder_logit_shape(n):
     h, _ = model.asr_encode(random_features(5, cfg))
     e = Tensor(np.random.default_rng(7).uniform(-1, 1, (n, 8)))
     d_bar = Tensor(np.random.default_rng(8).uniform(-1, 1, (n, cfg.d_spk)))
-    logits = model.asr_decode(e, h, d_bar)
+    logits = model.asr_decode(e, decoder_memories(model, h), d_bar)
     assert logits.data.shape == (n, cfg.vocab_size)
 
 
@@ -138,6 +139,7 @@ def test_profile_perturbation_is_local_without_self_attention():
     cfg = tiny_cfg(decoder_layers=3)
     model = SaAsrModel(cfg, seed=9)
     h, _ = model.asr_encode(random_features(6, cfg))
+    memories = decoder_memories(model, h)
     rng = np.random.default_rng(10)
     e = Tensor(rng.uniform(-1, 1, (5, 8)))
     d_bar = rng.uniform(-1, 1, (5, cfg.d_spk))
@@ -147,15 +149,15 @@ def test_profile_perturbation_is_local_without_self_attention():
     # the fused first layer has no self-attention: positions stay apart
     def first_layer(profiles):
         fusion = matmul(Tensor(profiles), transpose(model.w_spk))
-        return model.dec_first(e, h, h, fusion)
+        return model.dec_first(e, memories[0], fusion)
 
     diff = np.abs(first_layer(bumped).data
                   - first_layer(d_bar).data).sum(axis=1)
     assert diff[2] > 1e-6
     assert np.all(diff[[0, 1, 3, 4]] == 0.0)
     # with self-attention active the perturbation spreads
-    base_sa = model.asr_decode(e, h, Tensor(d_bar))
-    out_sa = model.asr_decode(e, h, Tensor(bumped))
+    base_sa = model.asr_decode(e, memories, Tensor(d_bar))
+    out_sa = model.asr_decode(e, memories, Tensor(bumped))
     diff_sa = np.abs(out_sa.data - base_sa.data).sum(axis=1)
     assert np.all(diff_sa > 0)
 
@@ -249,6 +251,20 @@ def test_two_pass_trace_is_deterministic():
     assert np.array_equal(a.second_pass_logits.data, b.second_pass_logits.data)
     assert np.array_equal(a.first_pass_logits.data, b.first_pass_logits.data)
     assert a.first_pass_tokens == b.first_pass_tokens
+
+
+def test_two_pass_projects_each_decoder_memory_once(monkeypatch):
+    model, x, y, spk, inv = two_pass_fixture()
+    blocks = [model.dec_first] + model.dec_layers
+    calls = [0] * len(blocks)
+    for i, block in enumerate(blocks):
+        def spy(k, v, i=i, memory=block.cross_mha.memory):
+            calls[i] += 1
+            return memory(k, v)
+        monkeypatch.setattr(block.cross_mha, "memory", spy)
+    model.two_pass_train_forward(x, y, spk, inv, sampler_seed=5)
+    # both glancing passes read the same projected encoder frames
+    assert calls == [1] * len(blocks)
 
 
 def test_two_pass_teacher_forcing_row_count():
@@ -421,7 +437,7 @@ def test_ar_greedy_matches_teacher_forced_pass(monkeypatch, decoder_layers):
     # row i of one causally masked pass sees exactly what greedy step i saw
     full = model.teacher_forced_logits(x, hyp.tokens).data
     assert hyp.tokens == list(np.argmax(full[:40, :model.eos_id], axis=1))
-    memories = model.memories(model.encode(x))
+    memories = decoder_memories(model, model.encode(x))
     for length in range(1, 41):
         prefix = [model.bos_id] + hyp.tokens[:length - 1]
         last = model.decode_prefix(prefix, memories, last_only=True).data
@@ -501,7 +517,8 @@ def test_checkpoint_rejects_malformed_header_config(tmp_path, edit):
 
 def test_checkpoint_rejects_previous_format(tmp_path):
     path = tmp_path / "old.ckpt"
-    write_sapf1_checkpoint(path, SaAsrModel(tiny_cfg(), seed=31))
+    save_checkpoint(path, SaAsrModel(tiny_cfg(), seed=31))
+    path.write_bytes(b"SAPF1\n" + path.read_bytes()[len(CHECKPOINT_MAGIC):])
     with pytest.raises(ContractError, match="bad magic b'SAPF1"):
         load_checkpoint(path)
 

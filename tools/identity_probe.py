@@ -5,7 +5,8 @@ benchmark's recipe, in both separator modes, and print the last epoch's
 total loss, ``validation_ce``, the ``evaluate`` summary, a hash of every
 parameter, and the same hash after a checkpoint save and load. Two trees
 that print the same lines store datasets, train, score and round-trip
-checkpoints bit-identically on this recipe.
+checkpoints bit-identically on this recipe. Exits 1, naming the hash, when
+a reloaded hash differs from the saved one.
 
     python3 tools/identity_probe.py            # this tree
     python3 tools/identity_probe.py OTHER_TREE # another checkout's src/
@@ -44,8 +45,9 @@ def main(argv) -> int:
         # a name that write_dataset takes as a new directory or a new file
         write_dataset(Path(tmp) / "data", dataset)
         reloaded = read_dataset(Path(tmp) / "data")
-    print(f"dataset {dataset_hash(dataset)} "
-          f"reloaded {dataset_hash(reloaded)}")
+    saved, back = dataset_hash(dataset), dataset_hash(reloaded)
+    print(f"dataset {saved} reloaded {back}")
+    differs = [] if back == saved else ["dataset"]
     base = train_config(SEED)
     for separator in (False, True):
         cfg = replace(base, epochs=EPOCHS,
@@ -59,9 +61,14 @@ def main(argv) -> int:
         print(f"  last total {manifest.epoch_log[-1]['total']!r}")
         print(f"  validation_ce {validation_ce(model, dataset)!r}")
         print(f"  {evaluate(model, dataset).summary}")
-        print(f"  params {param_hash(model)}")
-        print(f"  reloaded params {param_hash(loaded)}")
-    return 0
+        saved, back = param_hash(model), param_hash(loaded)
+        print(f"  params {saved}")
+        print(f"  reloaded params {back}")
+        if back != saved:
+            differs.append(f"params with use_cc_separator={separator}")
+    for name in differs:
+        print(f"reloaded hash differs from the saved one: {name}")
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
